@@ -4,7 +4,8 @@
 #   make install      editable install into the current environment
 #   make test         run the unit/integration/property test suite
 #   make lint         ruff check (imports + obvious-bug rules; config in
-#                     pyproject.toml) — skips with a hint if ruff is absent
+#                     pyproject.toml) — fails on findings, prints
+#                     "lint SKIPPED" if ruff is absent
 #   make serve-smoke  compile-cache the canned workload twice; fail unless
 #                     the warm pass is all cache hits and >= 5x faster
 #   make check        lint + serve-smoke (the gated fast checks)
@@ -37,9 +38,9 @@
 #                     TPC-DS campaign; writes BENCH_par.json and fails
 #                     under 2x speedup, on any result divergence across
 #                     worker counts, or on a leaked shm segment
-#   make par-smoke    fast substrate gate: small windowed campaign plus
-#                     the shm residue phase; bit-identity and zero-leak
-#                     gates enforced, speedup reported but not gated
+#   make par-smoke    fast substrate gate: small windowed campaign;
+#                     bit-identity and zero-leak gates enforced,
+#                     speedup reported but not gated
 #   make bench-template  benchmark the cross-query template cache: rebind
 #                     vs. fresh compile on a templated wlgen workload;
 #                     writes BENCH_template.json and fails under 5x speedup,
@@ -70,9 +71,11 @@ test:
 	$(PYTHON) -m pytest tests/
 
 lint:
-	@$(PYTHON) -c "import ruff" 2>/dev/null \
-		&& $(PYTHON) -m ruff check src tests benchmarks examples \
-		|| echo "ruff not installed; skipping (pip install ruff to enable)"
+	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \
+		$(PYTHON) -m ruff check src tests benchmarks examples; \
+	else \
+		echo "lint SKIPPED (ruff not installed)"; \
+	fi
 
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro serve-smoke
@@ -134,7 +137,7 @@ bench-par:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.par --out BENCH_par.json
 
 # Fast pass of the parallel-substrate bench (bit-identity across worker
-# counts, shm residue equality, zero-leak gates; no speedup floor — the
+# counts and zero-leak gates; no speedup floor — the
 # tiny campaign cannot amortize anything meaningfully).
 par-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.par --smoke

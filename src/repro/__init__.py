@@ -96,7 +96,6 @@ from .serve import (
     ServeGateway,
     ServeRequest,
     ServeResponse,
-    ServeResult,
     TenantQuota,
 )
 from .template import (
@@ -128,7 +127,6 @@ __all__ = [
     "ServeGateway",
     "ServeRequest",
     "ServeResponse",
-    "ServeResult",
     "SimulatedRuntime",
     "SyncRuntime",
     "TenantQuota",

@@ -22,15 +22,13 @@ exits non-zero on any failure):
   the baseline's, and equal across persistent runs at every worker
   count in ``--equiv-workers`` (default 1, 2, 8) — work-stealing must
   never leak into results;
-* **shared memory** — a sweep-residue phase ships a bouquet whose grid
-  planes live in shm (:func:`repro.par.export_array`); its sharded
-  totals must equal the serial reference, and after
-  :func:`repro.par.shutdown_pools` the ``/dev/shm`` scan
-  (:func:`repro.par.leaked_segments`) must come back empty.
+* **clean teardown** — after :func:`repro.par.shutdown_pools` the
+  ``/dev/shm`` scan (:func:`repro.par.leaked_segments`) must come back
+  empty.
 
 The report also folds in the campaign's MSO distribution (the fuzzing
 campaign doubles as bound validation) and the ``par.*`` telemetry the
-pool emitted (payload ships vs. cache hits, task latency, shm exports).
+pool emitted (payload ships vs. cache hits, task latency).
 """
 
 from __future__ import annotations
@@ -45,10 +43,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.simulation import sample_locations
 from ..obs.tracer import NULL_TRACER, MemorySink, Tracer
 from ..par import get_pool, leaked_segments, shutdown_pools
-from ..sweep.shard import run_residue
 from ..wlgen.campaign import (
     CampaignConfig,
     QueryOutcome,
@@ -56,7 +52,6 @@ from ..wlgen.campaign import (
     build_env,
     run_query,
 )
-from .harness import Lab
 
 __all__ = ["ParBenchReport", "run_par_bench", "main"]
 
@@ -153,9 +148,6 @@ class ParBenchReport:
     violations: int
     crashes: int
     mso_distribution: Dict[str, Optional[float]]
-    residue_locations: int
-    residue_identical: bool
-    shm_planes_exported: int
     leaked: List[str]
     pool_stats: Dict[str, object] = field(default_factory=dict)
     counters: Dict[str, float] = field(default_factory=dict)
@@ -176,12 +168,8 @@ class ParBenchReport:
         return self.identical_to_baseline and self.equivalence_identical
 
     @property
-    def shm_clean(self) -> bool:
-        return self.residue_identical and not self.leaked
-
-    @property
     def ok(self) -> bool:
-        return self.fast_enough and self.bit_identical and self.shm_clean
+        return self.fast_enough and self.bit_identical and not self.leaked
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -200,9 +188,6 @@ class ParBenchReport:
             "violations": self.violations,
             "crashes": self.crashes,
             "mso_distribution": dict(self.mso_distribution),
-            "residue_locations": self.residue_locations,
-            "residue_identical": self.residue_identical,
-            "shm_planes_exported": self.shm_planes_exported,
             "leaked_segments": list(self.leaked),
             "pool_stats": dict(self.pool_stats),
             "counters": dict(self.counters),
@@ -237,13 +222,6 @@ class ParBenchReport:
             ),
             f"  campaign verdict  : {self.violations} violations, "
             f"{self.crashes} crashes; MSO {dist}",
-            f"  residue via shm   : {self.residue_locations} locations, "
-            f"{self.shm_planes_exported} planes exported, totals "
-            + (
-                "identical"
-                if self.residue_identical
-                else "DIVERGED  FAIL"
-            ),
             f"  shm after shutdown: "
             + (
                 "clean"
@@ -296,7 +274,6 @@ def run_par_bench(
     min_speedup: float = 2.0,
     max_dims: int = 2,
     seed: int = 42,
-    residue_sample: int = 24,
 ) -> ParBenchReport:
     """Race the persistent substrate against per-call pools, end to end."""
     tracer = Tracer(MemorySink())
@@ -332,26 +309,7 @@ def run_par_bench(
         if roster != persistent_roster:
             equivalence_identical = False
 
-    # Shared-memory phase: ship a bouquet whose grid planes live in shm
-    # through the residue sharder and compare against the serial runner.
-    residue_workers = min(2, workers) if workers > 1 else 2
-    lab = Lab(
-        tpch_scale=0.0015,
-        tpcds_scale=0.0015,
-        stats_sample=600,
-        seed=7,
-        resolutions={1: 8, 2: 6, 3: 5, 4: 4, 5: 3},
-        tracer=NULL_TRACER,
-    )
-    ql = lab.build("3D_H_Q5")
-    locations = sample_locations(ql.space, residue_sample, seed=0)
-    serial = run_residue(ql.bouquet, locations, workers=None)
-    sharded = run_residue(
-        ql.bouquet, locations, workers=residue_workers, tracer=tracer
-    )
-    residue_identical = serial == sharded
-
-    # Teardown gate: every pool closed, every shm segment unlinked.
+    # Teardown gate: every pool closed, no shm segment left behind.
     pool = get_pool(workers, tracer=tracer)
     stats = {
         "runs": pool.stats.runs,
@@ -386,9 +344,6 @@ def run_par_bench(
         violations=sum(1 for o in persistent if o.status == "violation"),
         crashes=sum(1 for o in persistent if o.status == "crash"),
         mso_distribution=_mso_distribution(persistent),
-        residue_locations=len(locations),
-        residue_identical=residue_identical,
-        shm_planes_exported=int(counters.get("par.shm.exports", 0)),
         leaked=leaked,
         pool_stats=stats,
         counters=counters,
@@ -399,8 +354,8 @@ def run_par_bench(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench.par",
-        description="benchmark the persistent shared-memory worker "
-        "substrate against the per-call pools it replaced",
+        description="benchmark the persistent worker substrate against "
+        "the per-call pools it replaced",
     )
     parser.add_argument("--benchmark", default="tpcds",
                         choices=("tpch", "tpcds"))
@@ -414,7 +369,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--min-speedup", type=float, default=2.0)
     parser.add_argument("--max-dims", type=int, default=2)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--residue-sample", type=int, default=24)
     parser.add_argument(
         "--smoke", action="store_true",
         help="small fast configuration for CI (no speedup floor)",
@@ -430,7 +384,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.window = 4
         args.equiv_workers = "1,2"
         args.min_speedup = 0.0
-        args.residue_sample = 8
     equiv = [int(part) for part in args.equiv_workers.split(",") if part]
     report = run_par_bench(
         benchmark=args.benchmark,
@@ -441,7 +394,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         min_speedup=args.min_speedup,
         max_dims=args.max_dims,
         seed=args.seed,
-        residue_sample=args.residue_sample,
     )
     print(report.describe())
     if args.out:

@@ -11,14 +11,14 @@ once with the per-location reference driver
 * **exactness** — on a deterministic location sample the engine's totals
   must match fresh reference runs within ``--tolerance`` relative error
   (default 1e-9; observed differences are float rounding, ~1e-16);
-* **memoization** — after invalidating the totals memo (the path a
-  statistics refresh takes) a re-sweep must replay cohort decision
-  paths through the TraceTrie prefix memo with a nonzero hit rate and
-  reproduce the cold field bit-for-bit.
+* **memoization** — after invalidating the totals memo (what
+  ``cost_field(refresh=True)`` does) a re-sweep must reuse the cached
+  contour tables, building no new ones, and reproduce the cold field
+  bit-for-bit.
 
 A warm re-sweep is also timed to show the totals-memo path, and the
-engine's ``sweep.field`` span telemetry (cohorts, splits, residue)
-is folded into the report.
+engine's ``sweep.field`` span telemetry (cohorts, splits, batched
+costings) is folded into the report.
 
 ``make bench-sweep`` runs this and writes ``BENCH_sweep.json``; the
 process exits non-zero when either criterion fails.
@@ -54,9 +54,9 @@ class SweepBenchReport:
     reference_seconds: float
     sweep_seconds: float
     warm_seconds: float
-    trie_warm_seconds: float
-    memo_hit_rate: float
-    trie_warm_identical: bool
+    refresh_seconds: float
+    refresh_tables_built: int
+    refresh_identical: bool
     sample_size: int
     max_rel_error: float
     min_speedup: float
@@ -79,7 +79,7 @@ class SweepBenchReport:
 
     @property
     def memo_warm(self) -> bool:
-        return self.memo_hit_rate > 0.0 and self.trie_warm_identical
+        return self.refresh_tables_built == 0 and self.refresh_identical
 
     @property
     def ok(self) -> bool:
@@ -94,9 +94,9 @@ class SweepBenchReport:
             "reference_seconds": self.reference_seconds,
             "sweep_seconds": self.sweep_seconds,
             "warm_seconds": self.warm_seconds,
-            "trie_warm_seconds": self.trie_warm_seconds,
-            "memo_hit_rate": self.memo_hit_rate,
-            "trie_warm_identical": self.trie_warm_identical,
+            "refresh_seconds": self.refresh_seconds,
+            "refresh_tables_built": self.refresh_tables_built,
+            "refresh_identical": self.refresh_identical,
             "speedup": self.speedup,
             "min_speedup": self.min_speedup,
             "sample_size": self.sample_size,
@@ -115,9 +115,9 @@ class SweepBenchReport:
             f"({self.speedup:.1f}x, need >= {self.min_speedup:g}x)"
             + ("" if self.fast_enough else "  FAIL"),
             f"  warm re-sweep  : {self.warm_seconds:8.5f} s",
-            f"  trie-warm sweep: {self.trie_warm_seconds:8.5f} s "
-            f"(memo hit rate {self.memo_hit_rate:.3f}, need > 0; "
-            f"field {'bit-identical' if self.trie_warm_identical else 'DIVERGED'})"
+            f"  refresh sweep  : {self.refresh_seconds:8.5f} s "
+            f"({self.refresh_tables_built} contour tables built, need 0; "
+            f"field {'bit-identical' if self.refresh_identical else 'DIVERGED'})"
             + ("" if self.memo_warm else "  FAIL"),
             f"  field equality : max rel err {self.max_rel_error:.3e} "
             f"on {self.sample_size} sampled locations "
@@ -140,23 +140,10 @@ def _sweep_telemetry(tracer: Tracer) -> Dict[str, float]:
     # The first sweep.field span is the cold sweep; later ones are the
     # warm memo-path calls (0 cohorts by construction).
     attrs = spans[0].get("attrs", {})
-    keep = (
-        "cohorts",
-        "splits",
-        "residue",
-        "batched_costings",
-    )
+    keep = ("cohorts", "splits", "batched_costings")
     return {
         key: float(attrs[key]) for key in keep if attrs.get(key) is not None
     }
-
-
-def _memo_hit_rate(tracer: Tracer) -> float:
-    """Hit rate after the last sweep — i.e. including the trie-warm pass."""
-    spans = [s for s in tracer.sink.spans() if s.get("name") == "sweep.field"]
-    if not spans:
-        return 0.0
-    return float(spans[-1].get("attrs", {}).get("memo_hit_rate") or 0.0)
 
 
 def run_sweep_bench(
@@ -170,7 +157,6 @@ def run_sweep_bench(
     sample: int = 64,
     min_speedup: float = 5.0,
     tolerance: float = 1e-9,
-    workers: Optional[int] = None,
 ) -> SweepBenchReport:
     """Build the lab query and race the engine against the reference."""
     tracer = Tracer(MemorySink())
@@ -193,21 +179,21 @@ def run_sweep_bench(
     reference = optimized_cost_field(bouquet, engine="reference")
     t1 = time.perf_counter()
 
-    engine = SweepEngine(bouquet, workers=workers)
+    engine = SweepEngine(bouquet)
     t2 = time.perf_counter()
     field = engine.cost_field()
     t3 = time.perf_counter()
     engine.totals(list(space.locations()))  # warm path: totals memo
     t4 = time.perf_counter()
 
-    # Trie-warm pass: drop the totals memo but keep the TraceTrie (this
-    # is exactly what a statistics refresh does via cache.invalidate()),
-    # then re-sweep — cohorts replay their decision prefixes through the
-    # memo instead of re-deriving them, and the field must come back
-    # bit-identical.
-    warm_field = engine.cost_field(refresh=True)
+    # Refresh pass: drop the totals memo but keep the contour tables and
+    # coster caches, then re-sweep — no table may be rebuilt, and the
+    # field must come back bit-identical.
+    tables_before = engine.cache.tables_built
+    refresh_field = engine.cost_field(refresh=True)
     t5 = time.perf_counter()
-    trie_warm_identical = bool(np.array_equal(warm_field, field))
+    refresh_tables_built = engine.cache.tables_built - tables_before
+    refresh_identical = bool(np.array_equal(refresh_field, field))
 
     # Exactness on a deterministic sample, compared against the dict the
     # reference loop produced for the same locations.
@@ -225,9 +211,9 @@ def run_sweep_bench(
         reference_seconds=t1 - t0,
         sweep_seconds=t3 - t2,
         warm_seconds=t4 - t3,
-        trie_warm_seconds=t5 - t4,
-        memo_hit_rate=_memo_hit_rate(tracer),
-        trie_warm_identical=trie_warm_identical,
+        refresh_seconds=t5 - t4,
+        refresh_tables_built=refresh_tables_built,
+        refresh_identical=refresh_identical,
         sample_size=len(locations),
         max_rel_error=float(rel.max()) if len(locations) else 0.0,
         min_speedup=min_speedup,
@@ -252,7 +238,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--sample", type=int, default=64)
     parser.add_argument("--min-speedup", type=float, default=5.0)
     parser.add_argument("--tolerance", type=float, default=1e-9)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument(
         "--out", metavar="PATH", default=None,
         help="write the report as JSON (e.g. BENCH_sweep.json)",
@@ -269,7 +254,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         sample=args.sample,
         min_speedup=args.min_speedup,
         tolerance=args.tolerance,
-        workers=args.workers,
     )
     print(report.describe())
     if args.out:

@@ -29,16 +29,25 @@ def simulate_at(
     bouquet: PlanBouquet,
     qa_location: Location,
     mode: str = "optimized",
-    crossing: Optional[str] = None,
+    crossing: Optional[object] = None,
+    model_error_delta: float = 0.0,
 ) -> BouquetRunResult:
     """Simulate one bouquet execution for a query actually located at
     ``qa_location`` (a grid index), in the cost-model world.
 
     ``crossing`` picks the contour-crossing scheduler (see
-    :mod:`repro.sched`); ``None`` means sequential."""
+    :mod:`repro.sched`); ``None`` means sequential.
+    ``model_error_delta`` inflates every contour budget by (1+δ), as in
+    :class:`~repro.core.runtime.BouquetRunner`."""
     qa_values = bouquet.space.selectivities_at(qa_location)
     service = AbstractExecutionService(bouquet, qa_values)
-    runner = BouquetRunner(bouquet, service, mode=mode, crossing=crossing)
+    runner = BouquetRunner(
+        bouquet,
+        service,
+        mode=mode,
+        crossing=crossing,
+        model_error_delta=model_error_delta,
+    )
     result = runner.run()
     if not result.completed:
         raise BouquetError(
@@ -82,7 +91,6 @@ def optimized_cost_field(
     locations: Optional[Iterable[Location]] = None,
     crossing: Optional[str] = None,
     engine: str = "sweep",
-    workers: Optional[int] = None,
 ) -> Dict[Location, float]:
     """Optimized-bouquet total cost per location.
 
@@ -94,16 +102,14 @@ def optimized_cost_field(
     uses the vectorized cohort engine in :mod:`repro.sweep` and memoizes
     results on the bouquet; ``"reference"`` keeps the original
     per-location driver loop (the ground truth the sweep engine is
-    benchmarked against).  ``workers`` pool-shards the sweep residue.
+    benchmarked against).
     """
     if engine == "sweep":
-        # Imported lazily: repro.sweep itself leans on this module's
-        # reference path for residue locations.
+        # Imported lazily: repro.sweep runs this module's per-location
+        # driver for non-sequential crossings.
         from ..sweep import sweep_cost_field
 
-        return sweep_cost_field(
-            bouquet, locations=locations, crossing=crossing, workers=workers
-        )
+        return sweep_cost_field(bouquet, locations=locations, crossing=crossing)
     if engine != "reference":
         raise BouquetError(
             f"unknown optimized_cost_field engine {engine!r} "

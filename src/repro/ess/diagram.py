@@ -30,8 +30,8 @@ class PlanCostCache:
     plan's (abstract) cost function at grid locations, memoizing whole
     arrays per plan — the workhorse behind every ESS-wide metric sweep.
 
-    The cache is thread-safe (the serving layer and the sweep engine's
-    residue pool both share bouquets across threads) and optionally
+    The cache is thread-safe (the serving layer shares bouquets across
+    threads) and optionally
     bounded: with ``max_plans`` set, the least-recently-used arrays are
     evicted once the limit is exceeded.  Stale entries can be dropped
     explicitly with :meth:`invalidate`.
@@ -70,23 +70,6 @@ class PlanCostCache:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.RLock()
-
-    def snapshot(self) -> Dict[int, np.ndarray]:
-        """The currently materialized cost arrays, keyed by plan id."""
-        with self._lock:
-            return dict(self._arrays)
-
-    def seed(self, arrays: Dict[int, np.ndarray]) -> None:
-        """Pre-populate cost arrays (e.g. shared-memory planes).
-
-        Existing entries win: a seeded plane never displaces an array a
-        racing builder already installed.
-        """
-        for plan_id, array in arrays.items():
-            if array.shape != self.space.shape:
-                raise EssError("seeded cost array does not match the grid shape")
-            with self._lock:
-                self._arrays.setdefault(plan_id, array)
 
     def invalidate(self, plan_id: Optional[int] = None) -> None:
         """Drop the cached array for one plan (or all of them)."""

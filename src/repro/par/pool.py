@@ -1,7 +1,7 @@
 """Persistent worker pool with digest-keyed payload caching.
 
-This replaces the four per-call ``ctx.Pool`` sites (parallel POSP, slab
-batch compile, sweep residue, wlgen campaigns) with one substrate:
+This replaces the per-call ``ctx.Pool`` sites (parallel POSP, slab
+batch compile, wlgen campaigns) with one substrate:
 
 * **Persistent + reusable** — ``get_pool(workers)`` hands back a live
   pool keyed by ``(start method, worker count)``; workers are started
@@ -38,6 +38,7 @@ from __future__ import annotations
 import atexit
 import hashlib
 import multiprocessing as mp
+import os
 import pickle
 import queue as _queue
 import threading
@@ -49,7 +50,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import ReproError
 from ..obs.tracer import NULL_TRACER, Tracer
-from .shm import release_segments
 
 __all__ = [
     "ParError",
@@ -58,6 +58,7 @@ __all__ = [
     "WorkerPool",
     "encode_payload",
     "get_pool",
+    "leaked_segments",
     "shutdown_pools",
 ]
 
@@ -78,9 +79,7 @@ def encode_payload(payload: Any) -> Tuple[str, bytes]:
     """Pickle ``payload`` and return ``(content digest, blob)``.
 
     The digest is the payload-cache key: two calls whose payloads pickle
-    to the same bytes share one per-worker decode.  Shared-memory planes
-    (:class:`repro.par.shm.ShmArray`) pickle by segment name, so a
-    bouquet re-wrapped around the same exported planes digests stably.
+    to the same bytes share one per-worker decode.
     """
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     return hashlib.sha256(blob).hexdigest(), blob
@@ -272,7 +271,7 @@ class WorkerPool:
         self._close_queues()
 
     def terminate(self) -> None:
-        """Hard stop (dead worker / interrupt): kill workers, free shm."""
+        """Hard stop (dead worker / interrupt): kill workers."""
         self._closed = True
         self._broken = True
         for proc in self._procs:
@@ -282,7 +281,6 @@ class WorkerPool:
             proc.join(1.0)
         self._close_queues()
         _discard_pool(self)
-        release_segments()
 
     def _close_queues(self) -> None:
         for q in [self._tasks, self._results, *self._ctrl]:
@@ -464,13 +462,26 @@ def _discard_pool(pool: WorkerPool) -> None:
 
 
 def shutdown_pools() -> None:
-    """Close every registered pool and unlink every shm segment."""
+    """Close every registered pool."""
     with _POOLS_LOCK:
         pools = list(_POOLS.values())
         _POOLS.clear()
     for pool in pools:
         pool.close()
-    release_segments()
+
+
+def leaked_segments() -> List[str]:
+    """``repro_par_*`` shared-memory segments left in ``/dev/shm``.
+
+    The substrate ships payloads by pickle and creates no segments, so
+    this audit must come back empty after a teardown.  Without
+    ``/dev/shm`` it is always empty.
+    """
+    try:
+        names = os.listdir("/dev/shm")
+    except OSError:
+        return []
+    return sorted(name for name in names if name.startswith("repro_par_"))
 
 
 atexit.register(shutdown_pools)

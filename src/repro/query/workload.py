@@ -497,7 +497,3 @@ def full_workload(h_schema: Schema, ds_schema: Schema) -> Dict[str, WorkloadQuer
     workload.update(tpch_workload(h_schema))
     workload.update(tpcds_workload(ds_schema))
     return workload
-
-
-#: Backwards-compatible alias (pre-1.0 private name).
-_join_dim_maximum = join_dim_maximum

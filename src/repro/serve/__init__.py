@@ -41,7 +41,7 @@ from .fingerprint import (
 )
 from .front import AdmissionTicket, ServeGateway
 from .http import AsyncServeClient, BouquetFrontEnd
-from .server import BouquetServer, ServeResult
+from .server import BouquetServer
 
 __all__ = [
     "AdmissionController",
@@ -60,7 +60,6 @@ __all__ = [
     "ServeGateway",
     "ServeRequest",
     "ServeResponse",
-    "ServeResult",
     "TenantQuota",
     "artifact_key",
     "canonical_query_text",

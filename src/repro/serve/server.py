@@ -53,7 +53,6 @@ import time
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from ..api import (
@@ -75,22 +74,7 @@ from .cache import BouquetArtifactStore
 from .envelope import ServeRequest, ServeResponse
 from .fingerprint import ArtifactKey, artifact_key, statistics_fingerprint
 
-__all__ = ["BouquetServer", "ServeResult"]
-
-#: Deprecated alias — the response half of the envelope pair replaced
-#: the old ``ServeResult`` dataclass field-for-field (plus ``status``
-#: values ``"shed"``/``"failed"`` now being distinct, ``error_code``,
-#: tenant identity, and timings).
-ServeResult = ServeResponse
-
-
-@dataclass
-class _Inflight:
-    """One in-progress compile: its future plus the owning request."""
-
-    future: Future
-    waiters: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock)
+__all__ = ["BouquetServer"]
 
 
 class BouquetServer:
@@ -159,10 +143,6 @@ class BouquetServer:
         if isinstance(query, str):
             return parse_query(query, self.catalog.schema), query
         return query, None
-
-    def key_for(self, query: Union[str, Query]) -> ArtifactKey:
-        parsed, _ = self._parse(query)
-        return artifact_key(parsed, self.catalog.statistics, self.config)
 
     def _config_for(self, engine: Optional[str]) -> BouquetConfig:
         """The server config, with a per-request compile-engine override.
@@ -382,7 +362,10 @@ class BouquetServer:
         its optimized cost field with the vectorized engine
         (:mod:`repro.sweep`).
 
-        The field — and the engine's contour tables and trace trie — are
+        The sweep runs under the artifact's own run-time knobs (crossing
+        unless overridden, equivalence threshold, model-error δ), so the
+        field is what :func:`repro.api.simulate` charges at every
+        location.  The field and the engine's contour tables are
         memoized on the compiled bouquet, so later metric or diagnostics
         requests against the same artifact are answered from cache.
         Returns the grid-shaped cost field.
@@ -390,8 +373,13 @@ class BouquetServer:
         compiled, source = self.compile(query, timeout=timeout)
         from ..sweep import SweepEngine
 
+        config = compiled.config
         engine = SweepEngine(
-            compiled.bouquet, crossing=crossing, tracer=self.tracer
+            compiled.bouquet,
+            crossing=crossing if crossing is not None else config.crossing,
+            equivalence_threshold=config.equivalence_threshold,
+            model_error_delta=config.model_error_delta,
+            tracer=self.tracer,
         )
         with self.tracer.span(
             "serve.warm_sweep", source=source, crossing=engine.crossing.name

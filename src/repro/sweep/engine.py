@@ -14,10 +14,7 @@ replica of :meth:`repro.core.runtime.BouquetRunner._run_optimized`:
    all members at once);
 3. the cohort then *splits* by decision signature — (contour, plan,
    spill outcome, early-crossing verdict) — and each child continues as
-   its own cohort;
-4. cohorts that shrink below the batching threshold become *residue* and
-   are finished by the reference per-location runner (optionally across
-   a process pool, see :mod:`repro.sweep.shard`).
+   its own cohort, down to cohorts of one location.
 
 Two closed forms avoid per-location loops entirely: once every dimension
 is learned exactly, the remaining climb reduces to masked lookups over
@@ -34,22 +31,18 @@ far inside the 1e-9 relative tolerance enforced by ``make bench-sweep``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 import numpy as np
 
 from ..core.bouquet import PlanBouquet
+from ..core.simulation import simulate_at
 from ..ess.space import Location
 from ..exceptions import BouquetError
-from ..obs.tracer import NULL_TRACER, Tracer
-from .memo import SweepCache, TrieNode, sweep_cache
-from .shard import run_residue
+from ..obs.tracer import Tracer
+from .memo import SweepCache, sweep_cache
 
 __all__ = ["SweepEngine", "Cohort"]
-
-#: Cohorts smaller than this are finished by the per-location reference
-#: runner (batching overhead exceeds the win on tiny batches).
-DEFAULT_RESIDUE_MIN = 4
 
 _NEG = -(10**9)
 
@@ -65,7 +58,6 @@ class Cohort:
     exact: FrozenSet[int]  # dims learned exactly
     attempted: FrozenSet[int]  # plans spilled at this contour
     exhausted: FrozenSet[int]  # plans that consumed this contour's budget
-    node: TrieNode  # trace-trie position
 
     @property
     def size(self) -> int:
@@ -73,34 +65,46 @@ class Cohort:
 
 
 class SweepEngine:
-    """Vectorized optimized-bouquet cost-field sweeps for one bouquet."""
+    """Vectorized optimized-bouquet cost-field sweeps for one bouquet.
+
+    ``equivalence_threshold`` and ``model_error_delta`` are the run-time
+    knobs of :class:`~repro.core.runtime.BouquetRunner`: the field is
+    what that runner charges at every location under the same values.
+    """
 
     def __init__(
         self,
         bouquet: PlanBouquet,
         crossing: Optional[object] = None,
-        workers: Optional[int] = None,
-        residue_min: int = DEFAULT_RESIDUE_MIN,
         equivalence_threshold: float = 0.2,
+        model_error_delta: float = 0.0,
         tracer: Optional[Tracer] = None,
     ):
         from ..sched.strategy import resolve_crossing
 
+        if model_error_delta < 0:
+            raise BouquetError("model_error_delta must be non-negative")
         self.bouquet = bouquet
         self.space = bouquet.space
         self.crossing = resolve_crossing(crossing)
-        self.workers = workers
-        self.residue_min = max(1, residue_min)
         self.equivalence_threshold = equivalence_threshold
+        self.model_error_delta = model_error_delta
         if tracer is not None:
             self.tracer = tracer
         else:
             self.tracer = bouquet.cost_cache.optimizer.tracer
         self.cache: SweepCache = sweep_cache(bouquet)
-        self.budgets = list(bouquet.budgets)
+        # Same inflation as BouquetRunner, so the arithmetic matches.
+        self.budgets = [
+            budget * (1.0 + model_error_delta) for budget in bouquet.budgets
+        ]
+        # Every knob that changes the field keys its own totals memo.
+        self._memo_key = (
+            self.crossing.name, equivalence_threshold, model_error_delta
+        )
         self.D = self.space.dimensionality
         self._shape = self.space.shape
-        # Per-run state (set by cost_field):
+        # Per-run state (set by _sweep):
         self._flat: Optional[np.ndarray] = None
         self._out: Optional[np.ndarray] = None
 
@@ -153,127 +157,93 @@ class SweepEngine:
             crossing=self.crossing.name,
             contours=len(self.bouquet.contours),
         ) as span:
-            known = cache.known(flat, self.crossing.name)
+            known = cache.known(flat, self._memo_key)
             hits = int(known.sum())
             if tracer.enabled and hits:
                 tracer.count("sweep.memo_hits", hits)
             todo = flat[~known]
-            stats: Dict[str, float] = {
-                "cohorts": 0, "splits": 0, "residue": 0, "steps": 0
-            }
+            stats = {"cohorts": 0, "splits": 0}
             if len(todo):
                 if self.crossing.name == "sequential":
-                    self._sweep(todo, stats)
+                    values = self._sweep(todo, stats)
                 else:
-                    # Non-sequential crossing reschedules contour plans
-                    # per location; the whole request is residue.
-                    self._finish_residue(todo, stats)
+                    values = self._per_location(todo)
+                cache.store(todo, values, self._memo_key)
             span.set(
                 memo_hits=hits,
-                cohorts=int(stats["cohorts"]),
-                splits=int(stats["splits"]),
-                residue=int(stats["residue"]),
-                memo_hit_rate=cache.trie.hit_rate,
+                cohorts=stats["cohorts"],
+                splits=stats["splits"],
                 batched_costings=cache.coster.batched_costings,
             )
-        return cache.totals(self.crossing.name)[flat].copy()
+        return cache.totals(self._memo_key)[flat].copy()
 
-    def _sweep(self, flat: np.ndarray, stats: Dict[str, float]) -> None:
-        cache = self.cache
+    def _per_location(self, flat: np.ndarray) -> np.ndarray:
+        """A non-sequential crossing schedules each location's contour
+        plans on its own, so those sweeps run the reference driver at
+        every location."""
+        if self.tracer.enabled:
+            self.tracer.count("sweep.residue_locations", len(flat))
+        return np.array([
+            simulate_at(
+                self.bouquet,
+                tuple(int(i) for i in np.unravel_index(f, self._shape)),
+                crossing=self.crossing,
+                model_error_delta=self.model_error_delta,
+            ).total_cost
+            for f in flat
+        ])
+
+    def _sweep(self, flat: np.ndarray, stats: Dict[str, int]) -> np.ndarray:
         tracer = self.tracer
         n = len(flat)
         self._flat = flat
         self._out = np.full(n, np.nan)
         lo = np.array([dim.lo for dim in self.space.dimensions])
-        initial = Cohort(
-            rows=np.arange(n, dtype=np.int64),
-            qrun=np.broadcast_to(lo, (n, self.D)).copy(),
-            total=np.zeros(n),
-            cid=0,
-            exact=frozenset(),
-            attempted=frozenset(),
-            exhausted=frozenset(),
-            node=cache.trie.root,
-        )
-        queue: List[Cohort] = [initial]
-        residue_rows: List[np.ndarray] = []
+        queue: List[Cohort] = [
+            Cohort(
+                rows=np.arange(n, dtype=np.int64),
+                qrun=np.broadcast_to(lo, (n, self.D)).copy(),
+                total=np.zeros(n),
+                cid=0,
+                exact=frozenset(),
+                attempted=frozenset(),
+                exhausted=frozenset(),
+            )
+        ]
         while queue:
             cohort = queue.pop()
-            if cohort.size < self.residue_min:
-                residue_rows.append(cohort.rows)
-                continue
             stats["cohorts"] += 1
             if tracer.enabled:
                 tracer.count("sweep.cohorts")
                 tracer.observe("sweep.cohort_size", cohort.size)
             children = self._step(cohort)
-            stats["steps"] += 1
             stats["splits"] += max(0, len(children) - 1)
             if tracer.enabled and len(children) > 1:
                 tracer.count("sweep.cohort_splits", len(children) - 1)
             queue.extend(children)
-        if residue_rows:
-            rows = np.concatenate(residue_rows)
-            stats["residue"] += len(rows)
-            if tracer.enabled:
-                tracer.count("sweep.residue_locations", len(rows))
-            self._finish_residue(flat[rows], stats, out_rows=rows)
-        if np.isnan(self._out).any():
-            raise BouquetError("sweep engine left locations unswept")
-        cache.store(flat, self._out, self.crossing.name)
+        out = self._out
         self._flat = None
         self._out = None
-
-    def _finish_residue(
-        self,
-        flat: np.ndarray,
-        stats: Dict[str, float],
-        out_rows: Optional[np.ndarray] = None,
-    ) -> None:
-        """Reference per-location totals for residue / crossing sweeps."""
-        locations = [
-            tuple(int(i) for i in np.unravel_index(f, self._shape))
-            for f in flat
-        ]
-        crossing = self.crossing.name if self.crossing.name != "sequential" else None
-        totals = run_residue(
-            self.bouquet,
-            locations,
-            crossing=crossing,
-            workers=self.workers,
-            tracer=self.tracer,
-        )
-        values = np.array([totals[loc] for loc in locations])
-        if out_rows is not None and self._out is not None:
-            self._out[out_rows] = values
-        else:
-            stats["residue"] += len(flat)
-            if self.tracer.enabled:
-                self.tracer.count("sweep.residue_locations", len(flat))
-            self.cache.store(flat, values, self.crossing.name)
+        if np.isnan(out).any():
+            raise BouquetError("sweep engine left locations unswept")
+        return out
 
     # ------------------------------------------------------------------
     # One cohort step (one contour interaction)
     # ------------------------------------------------------------------
 
+    @staticmethod
     def _child(
-        self,
-        cohort: Cohort,
         mask: np.ndarray,
         qrun: np.ndarray,
         total: np.ndarray,
         rows: np.ndarray,
-        signature: Tuple,
         *,
         cid: int,
         exact: FrozenSet[int],
         attempted: FrozenSet[int],
         exhausted: FrozenSet[int],
-        charge: float = 0.0,
     ) -> Cohort:
-        node = self.cache.trie.child(cohort.node, signature, charge)
-        node.visits += 1
-        node.locations += int(mask.sum())
         return Cohort(
             rows=rows[mask],
             qrun=qrun[mask],
@@ -282,7 +252,6 @@ class SweepEngine:
             exact=exact,
             attempted=attempted,
             exhausted=exhausted,
-            node=node,
         )
 
     def _step(self, cohort: Cohort) -> List[Cohort]:
@@ -306,8 +275,7 @@ class SweepEngine:
             # cross without execution.
             children.append(
                 self._child(
-                    cohort, ~has_dom, cohort.qrun, cohort.total, cohort.rows,
-                    ("skip", cid),
+                    ~has_dom, cohort.qrun, cohort.total, cohort.rows,
                     cid=cid + 1, exact=cohort.exact,
                     attempted=frozenset(), exhausted=frozenset(),
                 )
@@ -491,27 +459,15 @@ class SweepEngine:
                 mask = kind_mask & (crossed == crs)
                 if not mask.any():
                     continue
-                signature = ("spill", cid, plan_id, bits, exact_spill, crs)
-                if crs:
-                    children.append(
-                        self._child(
-                            cohort, mask, qrun_new, total_new, rows_sel,
-                            signature,
-                            cid=cid + 1, exact=exact2,
-                            attempted=frozenset(), exhausted=frozenset(),
-                            charge=budget,
-                        )
+                children.append(
+                    self._child(
+                        mask, qrun_new, total_new, rows_sel,
+                        cid=cid + 1 if crs else cid,
+                        exact=exact2,
+                        attempted=frozenset() if crs else attempted2,
+                        exhausted=frozenset() if crs else exhausted2,
                     )
-                else:
-                    children.append(
-                        self._child(
-                            cohort, mask, qrun_new, total_new, rows_sel,
-                            signature,
-                            cid=cid, exact=exact2,
-                            attempted=attempted2, exhausted=exhausted2,
-                            charge=budget,
-                        )
-                    )
+                )
 
     # -- no-productive-candidate fallback -------------------------------
 
@@ -575,8 +531,7 @@ class SweepEngine:
             total_after = total + budget * runnable.sum(axis=1)
             children.append(
                 self._child(
-                    cohort, failed, qrun, total_after, rows,
-                    ("fallback-cross", cid),
+                    failed, qrun, total_after, rows,
                     cid=cid + 1, exact=cohort.exact,
                     attempted=frozenset(), exhausted=frozenset(),
                 )

@@ -100,7 +100,6 @@ def test_parallel_substrate_counters_get_their_own_table():
             {"type": "counter", "name": "par.tasks", "value": 40},
             {"type": "counter", "name": "par.payload.ships", "value": 2},
             {"type": "counter", "name": "par.payload.cache_hits", "value": 8},
-            {"type": "counter", "name": "par.shm.exports", "value": 3},
         ]
     )
     assert summary.pool_runs == 5
@@ -111,7 +110,6 @@ def test_parallel_substrate_counters_get_their_own_table():
         "parallel substrate",
         "pool reuse rate",
         "payload cache hits",
-        "shm planes exported",
     ):
         assert needle in text
 

@@ -59,3 +59,19 @@ def test_warm_sweep_matches_reference(server):
     ref = optimized_cost_field(compiled.bouquet, engine="reference")
     for loc, total in ref.items():
         assert field[loc] == pytest.approx(total, rel=1e-9)
+
+
+def test_warm_sweep_runs_under_the_artifacts_knobs(catalog):
+    """The warm-swept field is what api.simulate charges on the same
+    artifact, including the (1+δ) budget inflation."""
+    from repro.api import BouquetConfig, simulate
+
+    sql = SQL + " and o_totalprice < 20000"
+    config = BouquetConfig(resolution=8, model_error_delta=0.3)
+    with BouquetServer(catalog, config=config) as server:
+        field = server.warm_sweep(sql)
+        compiled, _ = server.compile(sql)
+    space = compiled.bouquet.space
+    for loc in space.locations():
+        ref = simulate(compiled, space.selectivities_at(loc)).total_cost
+        assert field[loc] == pytest.approx(ref, rel=1e-9)

@@ -7,12 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.simulation import optimized_cost_field, simulate_at
-from repro.sweep import (
-    SweepEngine,
-    optimized_field_array,
-    run_residue,
-    sweep_cost_field,
-)
+from repro.core.runtime import BouquetRunner
+from repro.sweep import SweepEngine, optimized_field_array, sweep_cost_field
 from repro.sweep.memo import sweep_cache
 
 RTOL = 1e-9
@@ -30,6 +26,45 @@ def _reference_field(bouquet):
 @pytest.fixture(scope="module")
 def q3d(lab):
     return lab.build("3D_H_Q5")
+
+
+@pytest.fixture(scope="module")
+def campaign_bouquet():
+    """W1000_8: a generated 3-dimension TPC-H campaign query whose sweep
+    splits into many single-location cohorts."""
+    from repro.api import BouquetConfig, compile_bouquet
+    from repro.wlgen.campaign import (
+        CAMPAIGN_RESOLUTIONS,
+        CampaignConfig,
+        build_env,
+    )
+    from repro.wlgen.dimensioning import dimension_query
+
+    config = CampaignConfig(seed=1000)
+    env = build_env(config)
+    generated = env.generator.generate(config.seed, 8)
+    dims = dimension_query(
+        env.optimizer,
+        generated.query,
+        env.catalog.database,
+        max_dims=config.max_dims,
+        min_penalty=config.min_penalty,
+        resolution=config.sensitivity_resolution,
+    )
+    assert len(dims.dimensions) == 3
+    compiled = compile_bouquet(
+        generated.query,
+        env.catalog,
+        config=BouquetConfig(
+            ratio=config.ratio,
+            lambda_=config.lambda_,
+            resolution=CAMPAIGN_RESOLUTIONS[3],
+        ),
+        dimensions=dims.dimensions,
+        base_assignment=dims.base_assignment,
+        optimizer=env.optimizer,
+    )
+    return compiled.bouquet
 
 
 class TestFieldEquality:
@@ -60,13 +95,11 @@ class TestFieldEquality:
         for loc, total in ref.items():
             assert swept[loc] == pytest.approx(total, rel=RTOL)
 
-    def test_residue_only_path_matches_batched(self, q3d):
-        batched = SweepEngine(q3d.bouquet).cost_field()
-        residue = SweepEngine(q3d.bouquet, residue_min=10**9)
-        residue.cache.invalidate()
-        np.testing.assert_allclose(
-            residue.cost_field(), batched, rtol=RTOL, atol=0.0
-        )
+    def test_campaign_query_matches_simulate_at(self, campaign_bouquet):
+        field = SweepEngine(campaign_bouquet).cost_field(refresh=True)
+        for loc in campaign_bouquet.space.locations():
+            ref = simulate_at(campaign_bouquet, loc).total_cost
+            assert field[loc] == pytest.approx(ref, rel=RTOL)
 
 
 class TestEngineMechanics:
@@ -84,11 +117,33 @@ class TestEngineMechanics:
     def test_refresh_invalidates_totals(self, q3d):
         engine = SweepEngine(q3d.bouquet)
         first = engine.cost_field()
+        tables = engine.cache.tables_built
         second = engine.cost_field(refresh=True)
-        # The memoized field may have been produced by the reference
-        # residue path in an earlier test; a refreshed batched sweep
-        # agrees to rounding, not bit-exactly.
-        np.testing.assert_allclose(first, second, rtol=RTOL, atol=0.0)
+        # A refreshed sweep reuses the contour tables and replays the
+        # same arithmetic, so the field comes back bit-identical.
+        np.testing.assert_array_equal(first, second)
+        assert engine.cache.tables_built == tables
+
+    def test_sequential_sweep_never_runs_the_scalar_driver(
+        self, q3d, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sequential sweep constructed a BouquetRunner")
+
+        monkeypatch.setattr(BouquetRunner, "__init__", forbidden)
+        field = SweepEngine(q3d.bouquet).cost_field(refresh=True)
+        assert (field > 0).all()
+
+    def test_knobs_key_separate_memos(self, q3d):
+        default = SweepEngine(q3d.bouquet).cost_field()
+        inflated = SweepEngine(q3d.bouquet, model_error_delta=0.3).cost_field()
+        assert not np.array_equal(default, inflated)
+        loc = (3, 3, 3)
+        ref = simulate_at(q3d.bouquet, loc, model_error_delta=0.3).total_cost
+        assert inflated[loc] == pytest.approx(ref, rel=RTOL)
+        np.testing.assert_array_equal(
+            SweepEngine(q3d.bouquet).cost_field(), default
+        )
 
     def test_crossing_knob_reaches_residue(self, q3d):
         field = SweepEngine(q3d.bouquet, crossing="concurrent").cost_field()
@@ -107,14 +162,6 @@ class TestEngineMechanics:
         # somewhere (and must not leak into the sequential memo).
         assert not np.allclose(sequential, concurrent, rtol=1e-6)
 
-    def test_sharded_residue_matches_serial(self, q3d):
-        locations = [(0, 0, 0), (1, 2, 3), (6, 6, 6), (4, 4, 0), (2, 5, 1)]
-        serial = run_residue(q3d.bouquet, locations)
-        sharded = run_residue(q3d.bouquet, locations, workers=2)
-        assert set(serial) == set(sharded)
-        for loc in locations:
-            assert sharded[loc] == pytest.approx(serial[loc], rel=RTOL)
-
     def test_array_entry_point_shape(self, q3d):
         field = optimized_field_array(q3d.bouquet)
         assert field.shape == q3d.space.shape
@@ -123,8 +170,7 @@ class TestEngineMechanics:
 
 class TestPropertyEquality:
     """Hypothesis: engine totals == per-location simulate_at totals for
-    arbitrary location samples, with the cohort machinery forced on
-    (residue_min=1) so every location flows through batching."""
+    arbitrary location samples."""
 
     @given(data=st.data(), dims=st.sampled_from([1, 3]))
     @settings(max_examples=10, deadline=None)
@@ -141,7 +187,7 @@ class TestPropertyEquality:
                 unique=True,
             )
         )
-        engine = SweepEngine(bouquet, residue_min=1)
+        engine = SweepEngine(bouquet)
         engine.cache.invalidate()
         totals = engine.totals(locations)
         for loc, total in zip(locations, totals):
