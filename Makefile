@@ -11,7 +11,7 @@
 #   make check        lint + serve-smoke (the gated fast checks)
 #   make ci           lint + every smoke gate (incl. both fuzz schemas
 #                     and the parallel substrate) + the tier-1 pytest
-#                     suite, in one gate
+#                     suite + the perfbench harness tests, in one gate
 #   make bench-sched  benchmark the contour-crossing schedulers; writes
 #                     BENCH_sched.json and fails on any acceptance miss
 #   make bench-sweep  race the cohort sweep engine against the reference
@@ -84,6 +84,7 @@ check: lint serve-smoke
 
 ci: lint sweep-smoke compile-smoke drift-smoke serve-load-smoke fuzz-smoke fuzz-smoke-tpcds template-smoke par-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+	PYTHONPATH=src $(PYTHON) -m pytest perfbench/tests -q
 
 bench-sched:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.sched --out BENCH_sched.json

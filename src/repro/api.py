@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .catalog.schema import Schema
@@ -46,7 +46,6 @@ from .core.runtime import (
 from .datagen.database import Database
 from .ess.diagram import PlanDiagram, coarse_subgrid
 from .ess.dimensioning import Uncertainty, select_error_dimensions
-from .ess.posp import COMPILE_ENGINES
 from .ess.space import ErrorDimension, SelectivitySpace
 from .exceptions import BouquetError, BudgetExceeded
 from .obs.tracer import NULL_TRACER, Tracer
@@ -105,17 +104,10 @@ class BouquetConfig:
     cost-equivalence groups, and ``model_error_delta`` is the §3.4
     bounded cost-model-error δ (budgets inflate by 1+δ).
 
-    ``compile_engine`` selects how POSP generation costs the ESS grid:
-    ``"batch"`` (default) runs the DPsize enumeration once per slab of
-    locations with array-valued costs, ``"reference"`` optimizes one
-    location at a time.  Both produce byte-identical artifacts, so the
-    engine is deliberately **not** a compile knob — it never enters the
-    artifact cache key.
-
     ``patch`` governs statistics-refresh maintenance: when enabled
     (default) a refresh first offers every cached artifact to the
     delta-refresh engine (:mod:`repro.drift`) before falling back to
-    invalidation.  Like the engine and crossing knobs it is a runtime
+    invalidation.  Like the crossing knob it is a runtime
     knob — never part of the artifact cache key.
 
     ``template`` governs the cross-query template cache
@@ -137,7 +129,6 @@ class BouquetConfig:
     equivalence_threshold: float = 0.2
     model_error_delta: float = 0.0
     cost_model: str = "postgres"
-    compile_engine: str = "batch"
     patch: bool = True
     template: bool = True
 
@@ -161,11 +152,6 @@ class BouquetConfig:
             raise BouquetError(
                 f"config: unknown cost model {self.cost_model!r} "
                 f"(expected one of {sorted(_COST_MODELS)})"
-            )
-        if self.compile_engine not in COMPILE_ENGINES:
-            raise BouquetError(
-                f"config: unknown compile engine {self.compile_engine!r} "
-                f"(expected one of {list(COMPILE_ENGINES)})"
             )
         if not isinstance(self.patch, bool):
             raise BouquetError("config: patch must be a bool")
@@ -204,21 +190,28 @@ class BouquetConfig:
             "equivalence_threshold": self.equivalence_threshold,
             "model_error_delta": self.model_error_delta,
             "cost_model": self.cost_model,
-            "compile_engine": self.compile_engine,
             "patch": self.patch,
             "template": self.template,
         }
 
     @staticmethod
     def from_dict(data: Mapping[str, object]) -> "BouquetConfig":
-        # Artifacts written before the batch engine (``compile_engine``),
-        # the maintenance knob (``patch``), or the template-cache knob
-        # (``template``) existed omit those keys; the dataclass defaults
-        # cover them.
-        return BouquetConfig(**dict(data))
+        # Artifacts written before the maintenance knob (``patch``) or the
+        # template-cache knob (``template``) existed omit those keys; the
+        # dataclass defaults cover them.  Artifacts written while the
+        # compile-engine selector existed carry ``compile_engine``, which
+        # never affected the artifact and is dropped.
+        fields = dict(data)
+        fields.pop("compile_engine", None)
+        unknown = sorted(set(fields) - _CONFIG_FIELDS)
+        if unknown:
+            raise BouquetError(f"config: unknown keys {unknown}")
+        return BouquetConfig(**fields)
 
 
 DEFAULT_CONFIG = BouquetConfig()
+
+_CONFIG_FIELDS = frozenset(f.name for f in dataclass_fields(BouquetConfig))
 
 
 @dataclass
@@ -368,7 +361,6 @@ def compile_bouquet(
     dimensions: Optional[Sequence[ErrorDimension]] = None,
     base_assignment: Optional[Mapping[str, float]] = None,
     tracer: Optional[Tracer] = None,
-    workers: Optional[int] = None,
     cache: Optional["object"] = None,
     optimizer: Optional[Optimizer] = None,
     templates: Optional["object"] = None,
@@ -391,9 +383,6 @@ def compile_bouquet(
     to the full compile on any structural mismatch.  Explicit
     ``dimensions``/``base_assignment`` overrides bypass both caches
     (they are not part of either key).
-
-    ``workers > 1`` parallelizes exhaustive POSP generation across
-    processes (§4.2) via the hardened fork/spawn pool.
     """
     config = config if config is not None else DEFAULT_CONFIG
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -402,7 +391,7 @@ def compile_bouquet(
         query = parse_query(query, catalog.schema)
     if dimensions is not None or base_assignment is not None:
         return _compile_pipeline(
-            query, catalog, config, dimensions, base_assignment, tracer, workers,
+            query, catalog, config, dimensions, base_assignment, tracer,
             optimizer, sql, span_name="api.compile",
         )
     if cache is not None:
@@ -413,12 +402,12 @@ def compile_bouquet(
         if hit is not None:
             return hit
         compiled = _template_or_compile(
-            query, catalog, config, tracer, workers, optimizer, sql, templates
+            query, catalog, config, tracer, optimizer, sql, templates
         )
         cache.put(key, compiled, tracer=tracer)
         return compiled
     return _template_or_compile(
-        query, catalog, config, tracer, workers, optimizer, sql, templates
+        query, catalog, config, tracer, optimizer, sql, templates
     )
 
 
@@ -427,7 +416,6 @@ def _template_or_compile(
     catalog: Catalog,
     config: BouquetConfig,
     tracer: Tracer,
-    workers: Optional[int],
     optimizer: Optional[Optimizer],
     sql: Optional[str],
     templates: Optional["object"],
@@ -436,7 +424,7 @@ def _template_or_compile(
     (and register the result as the template's representative)."""
     if templates is None or not config.template:
         return _compile_pipeline(
-            query, catalog, config, None, None, tracer, workers, optimizer, sql,
+            query, catalog, config, None, None, tracer, optimizer, sql,
             span_name="api.compile",
         )
     from .exceptions import TemplateError
@@ -466,7 +454,7 @@ def _template_or_compile(
     else:
         tracer.count("template.misses")
     compiled = _compile_pipeline(
-        query, catalog, config, None, None, tracer, workers, optimizer, sql,
+        query, catalog, config, None, None, tracer, optimizer, sql,
         span_name="api.compile",
     )
     templates.put(sig, compiled, stats_digest, cfg_digest)
@@ -481,7 +469,6 @@ def _compile_pipeline(
     dimensions: Optional[Sequence[ErrorDimension]],
     base_assignment: Optional[Mapping[str, float]],
     tracer: Tracer,
-    workers: Optional[int],
     optimizer: Optional[Optimizer],
     sql: Optional[str],
     span_name: str = "api.compile",
@@ -505,15 +492,10 @@ def _compile_pipeline(
         res = config.resolution_for(len(dimensions))
         space = SelectivitySpace(query, dimensions, res, base_assignment)
         if space.size <= EXHAUSTIVE_LIMIT:
-            diagram = PlanDiagram.exhaustive(
-                optimizer, space, workers=workers, engine=config.compile_engine
-            )
+            diagram = PlanDiagram.exhaustive(optimizer, space)
         else:
             diagram = PlanDiagram.from_candidates(
-                optimizer,
-                space,
-                coarse_subgrid(space, per_dim=4),
-                engine=config.compile_engine,
+                optimizer, space, coarse_subgrid(space, per_dim=4)
             )
         bouquet = identify_bouquet(diagram, lambda_=config.lambda_, ratio=config.ratio)
         span.set(

@@ -22,8 +22,8 @@ of locations:
 The masked updates replicate the scalar DP's semantics *per location*
 exactly — including its first-candidate-wins tie-breaking (strict ``<``
 against the running best) — so the batch result at every location
-provably equals the scalar :meth:`Optimizer.optimize` result, and the
-two engines may be used interchangeably (the benches assert this).
+provably equals the scalar :meth:`Optimizer.optimize` result
+(``make bench-compile`` asserts this against a per-location loop).
 """
 
 from __future__ import annotations

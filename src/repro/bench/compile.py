@@ -1,20 +1,24 @@
 """Compile-kernel bench: slab-batched DP enumeration vs the scalar loop.
 
 Builds a 3D lab query's ESS and generates its exhaustive plan diagram
-twice — once with the one-optimization-per-location reference engine and
-once with the batch kernel (:mod:`repro.batchopt`), which runs the
-DPsize enumeration once per slab of locations with a numpy cost axis —
-and checks two acceptance criteria:
+twice — once with the paper's literal one-optimization-per-location loop
+(:func:`reference_diagram`, kept here as the oracle) and once with the
+batch kernel (:mod:`repro.batchopt`) behind
+:meth:`~repro.ess.diagram.PlanDiagram.exhaustive`, which runs the DPsize
+enumeration once per slab of locations with a numpy cost axis — and
+checks two acceptance criteria:
 
 * **speed** — the batch compile must beat the reference compile by at
   least ``--min-speedup`` (default 4x) on the full grid;
 * **exactness** — the two diagrams must agree at *every* location, both
   the chosen plan (compared structurally, by canonical signature) and
-  its cost (bitwise: the engines execute the same IEEE-754 operations).
+  its cost (bitwise: both paths execute the same IEEE-754 operations).
 
-The contour-focused band exploration (§4.2) is raced the same way: both
-engines must produce byte-identical ``ContourBandResult.optimized``
-maps, and the batch band time is reported alongside.
+The contour-focused band exploration (§4.2) is raced the same way:
+:func:`~repro.ess.posp.contour_focused_posp` runs once as is and once
+over :class:`ScalarSlabOptimizer`, whose ``optimize_batch`` is the same
+scalar loop; both must produce byte-identical
+``ContourBandResult.optimized`` maps.
 
 ``make bench-compile`` runs this and writes ``BENCH_compile.json``; the
 process exits non-zero when any criterion fails.
@@ -27,7 +31,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,16 +39,68 @@ from ..catalog.tpcds import tpcds_schema
 from ..catalog.tpch import tpch_generator_spec, tpch_schema
 from ..core.contours import contour_costs
 from ..datagen.database import Database
-from ..ess.diagram import PlanDiagram
+from ..ess.diagram import PlanCostCache, PlanDiagram
 from ..ess.posp import contour_focused_posp
 from ..ess.space import SelectivitySpace
 from ..obs.tracer import MemorySink, Tracer
 from ..optimizer.cost_model import POSTGRES_COST_MODEL
-from ..optimizer.optimizer import Optimizer
+from ..optimizer.optimizer import OptimizedPlan, Optimizer
 from ..optimizer.selectivity import actual_selectivities
+from ..query.query import Query
 from ..query.workload import full_workload
 
-__all__ = ["CompileBenchReport", "run_compile_bench", "main"]
+__all__ = [
+    "CompileBenchReport",
+    "ScalarSlabOptimizer",
+    "main",
+    "reference_diagram",
+    "run_compile_bench",
+]
+
+
+def reference_diagram(optimizer: Optimizer, space: SelectivitySpace) -> PlanDiagram:
+    """The exhaustive plan diagram by one scalar optimize per location.
+
+    The paper's literal §4.2 procedure, in the row-major order
+    :meth:`PlanDiagram.exhaustive` visits, so plan ids register in the
+    same order — the oracle the batch kernel is raced against.
+    """
+    plan_ids = np.empty(space.shape, dtype=np.int64)
+    costs = np.empty(space.shape, dtype=float)
+    for location in space.locations():
+        result = optimizer.optimize(
+            space.query, assignment=space.assignment_at(location)
+        )
+        plan_ids[location] = result.plan_id
+        costs[location] = result.cost
+    registry = optimizer.registry(space.query)
+    return PlanDiagram(
+        space, plan_ids, costs, registry, PlanCostCache(space, optimizer, registry)
+    )
+
+
+class ScalarSlabOptimizer:
+    """An optimizer stand-in whose ``optimize_batch`` is a scalar loop.
+
+    Hands :func:`~repro.ess.posp.contour_focused_posp` one
+    :meth:`Optimizer.optimize` call per slab location, in slab order, so
+    the unchanged band exploration runs the paper's literal procedure.
+    Everything else delegates to the wrapped optimizer.
+    """
+
+    def __init__(self, optimizer: Optimizer):
+        self._optimizer = optimizer
+
+    def __getattr__(self, name: str):
+        return getattr(self._optimizer, name)
+
+    def optimize_batch(
+        self, query: Query, assignments: Sequence[Mapping[str, float]]
+    ) -> List[OptimizedPlan]:
+        return [
+            self._optimizer.optimize(query, assignment=assignment)
+            for assignment in assignments
+        ]
 
 
 @dataclass
@@ -167,7 +223,7 @@ def _diagram_mismatches(
 
     Plans are compared structurally: the two compiles own independent
     registries, so ids are only comparable through canonical signatures.
-    Costs are compared bitwise — both engines execute the same float64
+    Costs are compared bitwise — both paths execute the same float64
     formula stream, so any difference at all is a divergence.
     """
     ref_sigs = _signature_map(reference)
@@ -190,7 +246,8 @@ def run_compile_bench(
     min_speedup: float = 4.0,
     min_band_speedup: float = 4.0,
 ) -> CompileBenchReport:
-    """Build the lab query's ESS and race the two compile engines."""
+    """Build the lab query's ESS and race the batch kernel against the
+    scalar loop."""
     schema = tpch_schema(scale)
     database = Database.generate(schema, tpch_generator_spec(scale), seed=seed)
     statistics = database.build_statistics(sample_size=stats_sample, seed=seed)
@@ -211,12 +268,12 @@ def run_compile_bench(
 
     opt_ref = fresh_optimizer()
     t0 = time.perf_counter()
-    diagram_ref = PlanDiagram.exhaustive(opt_ref, space, engine="reference")
+    diagram_ref = reference_diagram(opt_ref, space)
     t1 = time.perf_counter()
 
     opt_batch = fresh_optimizer(traced=True)
     t2 = time.perf_counter()
-    diagram_batch = PlanDiagram.exhaustive(opt_batch, space, engine="batch")
+    diagram_batch = PlanDiagram.exhaustive(opt_batch, space)
     t3 = time.perf_counter()
 
     plan_bad, cost_bad = _diagram_mismatches(diagram_ref, diagram_batch)
@@ -227,11 +284,13 @@ def run_compile_bench(
     costs = contour_costs(diagram_ref.cmin, diagram_ref.cmax, ratio=ratio)
     band_opt_ref = fresh_optimizer()
     t4 = time.perf_counter()
-    band_ref = contour_focused_posp(band_opt_ref, space, costs, engine="reference")
+    band_ref = contour_focused_posp(
+        ScalarSlabOptimizer(band_opt_ref), space, costs
+    )
     t5 = time.perf_counter()
     band_opt_batch = fresh_optimizer()
     t6 = time.perf_counter()
-    band_batch = contour_focused_posp(band_opt_batch, space, costs, engine="batch")
+    band_batch = contour_focused_posp(band_opt_batch, space, costs)
     t7 = time.perf_counter()
 
     band_bad = len(set(band_ref.optimized) ^ set(band_batch.optimized))

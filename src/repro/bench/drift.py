@@ -172,7 +172,7 @@ def run_drift_bench(
     opt_old = Optimizer(schema, statistics, POSTGRES_COST_MODEL)
     base_old = opt_old.estimated_assignment(workload.query)
     space_old = SelectivitySpace(workload.query, dims, resolution, base_old)
-    diagram_old = PlanDiagram.exhaustive(opt_old, space_old, engine="batch")
+    diagram_old = PlanDiagram.exhaustive(opt_old, space_old)
     old_bouquet = identify_bouquet(diagram_old, lambda_=lambda_, ratio=ratio)
 
     drifted = perturb_statistics(
@@ -198,7 +198,7 @@ def run_drift_bench(
     opt_ref = Optimizer(schema, drifted, POSTGRES_COST_MODEL)
     space_ref = SelectivitySpace(workload.query, dims, resolution, base_new)
     t2 = time.perf_counter()
-    diagram_ref = PlanDiagram.exhaustive(opt_ref, space_ref, engine="batch")
+    diagram_ref = PlanDiagram.exhaustive(opt_ref, space_ref)
     reference = identify_bouquet(diagram_ref, lambda_=lambda_, ratio=ratio)
     t3 = time.perf_counter()
 

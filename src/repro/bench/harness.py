@@ -80,9 +80,9 @@ class QueryLab:
         the Figure 13 driver.
         """
         if self._optimized_field is None:
-            from ..sweep import optimized_field_array
+            from ..sweep import SweepEngine
 
-            self._optimized_field = optimized_field_array(self.bouquet)
+            self._optimized_field = SweepEngine(self.bouquet).cost_field()
         return self._optimized_field
 
     @property

@@ -2,9 +2,9 @@
 
 Builds a 3D lab query, computes the optimized-bouquet cost field twice —
 once with the per-location reference driver
-(:func:`repro.core.simulation.optimized_cost_field` with
-``engine="reference"``) and once with the cohort sweep engine
-(:mod:`repro.sweep`) — and checks two acceptance criteria:
+(:func:`repro.core.simulation.simulate_at` looped over the grid) and once
+with the cohort sweep engine (:mod:`repro.sweep`) — and checks two
+acceptance criteria:
 
 * **speed** — the cold engine sweep must beat the reference loop by at
   least ``--min-speedup`` (default 5x) on the full grid;
@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.simulation import optimized_cost_field, sample_locations
+from ..core.simulation import sample_locations, simulate_at
 from ..obs.tracer import MemorySink, Tracer
 from ..sweep import SweepEngine
 from .harness import Lab
@@ -176,7 +176,10 @@ def run_sweep_bench(
     space = ql.space
 
     t0 = time.perf_counter()
-    reference = optimized_cost_field(bouquet, engine="reference")
+    reference = {
+        location: simulate_at(bouquet, location).total_cost
+        for location in space.locations()
+    }
     t1 = time.perf_counter()
 
     engine = SweepEngine(bouquet)

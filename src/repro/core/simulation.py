@@ -3,10 +3,9 @@
 The robustness metrics (MSO/ASO/MaxHarm) need the bouquet's total
 execution cost at *every* possible actual location ``qa``.  For the basic
 algorithm this cost field is computed fully vectorized; the optimized
-algorithm defaults to the vectorized cohort sweep engine in
-:mod:`repro.sweep` with the original per-location
-:class:`~repro.core.runtime.BouquetRunner` loop kept as the
-``engine="reference"`` ground truth.
+algorithm's field comes from the vectorized cohort sweep engine in
+:mod:`repro.sweep`, which the benches and tests check against
+:func:`simulate_at` looped over the grid.
 """
 
 from __future__ import annotations
@@ -90,38 +89,23 @@ def optimized_cost_field(
     bouquet: PlanBouquet,
     locations: Optional[Iterable[Location]] = None,
     crossing: Optional[str] = None,
-    engine: str = "sweep",
 ) -> Dict[Location, float]:
-    """Optimized-bouquet total cost per location.
+    """Optimized-bouquet total cost per location, via the cohort sweep
+    engine (:mod:`repro.sweep`), which memoizes results on the bouquet.
 
     ``locations`` defaults to the whole grid; pass a sample for very
     large spaces.  ``crossing`` picks the contour-crossing scheduler
     (see :mod:`repro.sched`); ``None`` means sequential.
-
-    ``engine`` selects the evaluation strategy: ``"sweep"`` (default)
-    uses the vectorized cohort engine in :mod:`repro.sweep` and memoizes
-    results on the bouquet; ``"reference"`` keeps the original
-    per-location driver loop (the ground truth the sweep engine is
-    benchmarked against).
     """
-    if engine == "sweep":
-        # Imported lazily: repro.sweep runs this module's per-location
-        # driver for non-sequential crossings.
-        from ..sweep import sweep_cost_field
+    # Imported lazily: repro.sweep runs this module's per-location
+    # driver for non-sequential crossings.
+    from ..sweep import SweepEngine
 
-        return sweep_cost_field(bouquet, locations=locations, crossing=crossing)
-    if engine != "reference":
-        raise BouquetError(
-            f"unknown optimized_cost_field engine {engine!r} "
-            "(expected 'sweep' or 'reference')"
-        )
     if locations is None:
-        locations = list(bouquet.space.locations())
-    field: Dict[Location, float] = {}
-    for location in locations:
-        result = simulate_at(bouquet, location, mode="optimized", crossing=crossing)
-        field[location] = result.total_cost
-    return field
+        locations = bouquet.space.locations()
+    locations = list(locations)
+    totals = SweepEngine(bouquet, crossing=crossing).totals(locations)
+    return {loc: float(total) for loc, total in zip(locations, totals)}
 
 
 def suboptimality_field(cost_field: np.ndarray, pic: np.ndarray) -> np.ndarray:

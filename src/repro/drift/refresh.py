@@ -464,7 +464,7 @@ def bouquets_equal(patched: PlanBouquet, reference: PlanBouquet) -> List[str]:
 
     Plan ids are compared directly (both sides are canonically numbered),
     plans structurally (canonical signatures per id), costs bitwise, and
-    contours/budgets exactly — the same bar the compile-engine bench
+    contours/budgets exactly — the same bar the compile bench
     holds the batch kernel to against the scalar reference.
     """
     problems: List[str] = []

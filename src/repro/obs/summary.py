@@ -191,12 +191,12 @@ class ServingSummary:
 
     @property
     def batched_locations(self) -> float:
-        """ESS locations costed through the batch DP engine's slabs."""
+        """ESS locations costed through the batch DP kernel's slabs."""
         return self._c("optimizer.batched_locations")
 
     @property
     def optimized_locations(self) -> float:
-        """Total locations planned, whichever compile engine ran them."""
+        """Total locations planned, scalar or batched."""
         return self.optimizer_calls + self.batched_locations
 
     @property

@@ -49,12 +49,13 @@ class PlanRegistry:
     """Assigns small stable integer ids to distinct plan signatures.
 
     Structurally identical plans registered from different ESS grid
-    locations (or by different compile engines) deduplicate onto one id
-    via the plan's canonical signature, which keeps POSP sets and the
-    anorexic-reduction input small.  The registry is shared by parallel
-    compile workers, so registration and lookup are guarded by a lock;
-    ids are assigned strictly in first-registration order, which is what
-    makes batch and scalar compiles produce identical id maps.
+    locations (or by the batch kernel and the scalar optimizer)
+    deduplicate onto one id via the plan's canonical signature, which
+    keeps POSP sets and the anorexic-reduction input small.  The registry
+    is shared by concurrent compiles, so registration and lookup are
+    guarded by a lock; ids are assigned strictly in first-registration
+    order, which is what makes batch and scalar compiles produce
+    identical id maps.
     """
 
     def __init__(self):
@@ -139,7 +140,7 @@ class Optimizer:
 
     def __getstate__(self):
         # Tracers hold sinks (possibly open files); they degrade to the
-        # null tracer across process boundaries (parallel POSP workers).
+        # null tracer across process boundaries (repro.par workers).
         state = self.__dict__.copy()
         state["tracer"] = None
         return state

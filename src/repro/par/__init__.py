@@ -1,10 +1,9 @@
 """repro.par — the parallel-execution substrate.
 
 One persistent, reusable worker pool (fork-preferred, verified-spawn
-fallback) with per-worker payload caching keyed by content digest,
-shared by parallel POSP generation (:mod:`repro.ess.diagram`), slab
-batch compilation (:mod:`repro.batchopt.shard`) and wlgen campaigns
-(:mod:`repro.wlgen.campaign`).
+fallback) with per-worker payload caching keyed by content digest.
+Its caller is the query-level fan-out of wlgen campaigns
+(:mod:`repro.wlgen.campaign`); each query compiles on one core.
 """
 
 from .pool import (

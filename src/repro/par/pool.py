@@ -1,7 +1,7 @@
 """Persistent worker pool with digest-keyed payload caching.
 
-This replaces the per-call ``ctx.Pool`` sites (parallel POSP, slab
-batch compile, wlgen campaigns) with one substrate:
+This replaces the per-call ``ctx.Pool`` sites the repo once had with
+one substrate (today wlgen campaigns run on it):
 
 * **Persistent + reusable** — ``get_pool(workers)`` hands back a live
   pool keyed by ``(start method, worker count)``; workers are started
@@ -15,7 +15,7 @@ batch compile, wlgen campaigns) with one substrate:
   parent before any worker sees it, so an unpicklable payload fails
   fast with a clear error instead of crashing inside queue machinery.
 * **Per-worker payload caching keyed by content digest** — a payload
-  (optimizer + space, bouquet, campaign config) is pickled once per
+  (e.g. a campaign config) is pickled once per
   call, hashed, and shipped to each worker at most once per digest;
   subsequent calls with a byte-identical payload ship nothing.  Workers
   keep the decoded object plus a derived-state memo
@@ -198,10 +198,9 @@ class WorkerPool:
 
     One shared task queue (workers steal), one shared result queue, and
     one private control queue per worker (payload broadcast).  ``run``
-    is serialized on an internal lock: concurrent callers (e.g. the
-    serving layer's compile thread pool, whose threads all reach the one
-    shared :func:`get_pool` pool) queue up instead of interleaving
-    seq-numbered tuples on the shared task/result queues.
+    is serialized on an internal lock: concurrent callers (threads that
+    all reach the one shared :func:`get_pool` pool) queue up instead of
+    interleaving seq-numbered tuples on the shared task/result queues.
     """
 
     def __init__(

@@ -106,9 +106,9 @@ def optimized_field(bouquet, crossing=None) -> np.ndarray:
     Results are memoized on the bouquet, so computing several metrics
     costs one sweep.
     """
-    from ..sweep import optimized_field_array
+    from ..sweep import SweepEngine
 
-    return optimized_field_array(bouquet, crossing=crossing)
+    return SweepEngine(bouquet, crossing=crossing).cost_field()
 
 
 def optimized_bouquet_metrics(

@@ -36,10 +36,8 @@ The canonical calling convention is the typed envelope pair from
     response = server.serve(ServeRequest(query=sql, budget=1e9))
     response.status, response.error_code, response.rows
 
-``serve(sql)`` remains as sugar, and the old keyword sprawl
-(``serve(sql, budget=..., mode=..., crossing=..., timeout=...)``) keeps
-working behind a :class:`DeprecationWarning` adapter.  Admission
-control, tenant quotas, and load shedding live one layer up, in
+``serve(sql)`` remains as sugar for ``serve(ServeRequest(query=sql))``.
+Admission control, tenant quotas, and load shedding live one layer up, in
 :class:`repro.serve.front.ServeGateway`.
 
 The degradation ladder, top to bottom: memory hit → disk hit →
@@ -50,7 +48,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Dict, Optional, Tuple, Union
@@ -94,7 +91,6 @@ class BouquetServer:
         templates: Optional[TemplateStore] = None,
         max_workers: int = 4,
         compile_timeout: Optional[float] = None,
-        compile_workers: Optional[int] = None,
         tracer: Optional[Tracer] = None,
     ):
         if max_workers < 1:
@@ -110,7 +106,6 @@ class BouquetServer:
         else:
             self.templates = TemplateStore() if config.template else None
         self.compile_timeout = compile_timeout
-        self.compile_workers = compile_workers
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="bouquet-compile"
         )
@@ -144,36 +139,21 @@ class BouquetServer:
             return parse_query(query, self.catalog.schema), query
         return query, None
 
-    def _config_for(self, engine: Optional[str]) -> BouquetConfig:
-        """The server config, with a per-request compile-engine override.
-
-        The engine is cache-neutral (both engines produce byte-identical
-        artifacts), so overriding it never changes the artifact key.
-        """
-        if engine is None or engine == self.config.compile_engine:
-            return self.config
-        return self.config.with_(compile_engine=engine)
-
     def _use_templates(self) -> bool:
         return self.templates is not None and self.config.template
 
     def _compile_and_store(
-        self,
-        key: ArtifactKey,
-        query: Query,
-        sql: Optional[str],
-        config: Optional[BouquetConfig] = None,
+        self, key: ArtifactKey, query: Query, sql: Optional[str]
     ) -> CompiledBouquet:
         """Pool task: run the compile pipeline and publish the artifact
         (to the exact store, and as the template's representative)."""
         compiled = _compile_pipeline(
             query,
             self.catalog,
-            config if config is not None else self.config,
+            self.config,
             None,
             None,
             self.tracer,
-            self.compile_workers,
             None,
             sql,
             span_name="serve.compile",
@@ -246,7 +226,6 @@ class BouquetServer:
         self,
         query: Union[str, Query],
         timeout: Optional[float] = None,
-        engine: Optional[str] = None,
     ) -> Tuple[CompiledBouquet, str]:
         """Obtain the compiled bouquet for ``query``; returns
         ``(compiled, source)`` where source is ``memory``/``disk``/
@@ -255,8 +234,7 @@ class BouquetServer:
         Raises :class:`FutureTimeoutError` when the (possibly coalesced)
         compile does not finish within ``timeout`` (default: the
         server's ``compile_timeout``); the compile itself keeps running
-        and will still populate the store.  ``engine`` overrides the
-        config's compile engine for this request (cache-neutral).
+        and will still populate the store.
         """
         parsed, sql = self._parse(query)
         key = artifact_key(parsed, self.catalog.statistics, self.config)
@@ -305,8 +283,7 @@ class BouquetServer:
                     if template_future is None:
                         owner = True
                         future = self._pool.submit(
-                            self._compile_and_store, key, parsed, sql,
-                            self._config_for(engine),
+                            self._compile_and_store, key, parsed, sql
                         )
                         self._inflight[key.digest] = future
                         if sig is not None and sig.digest not in self._template_inflight:
@@ -397,9 +374,8 @@ class BouquetServer:
         """Pre-populate the artifact cache for a workload.
 
         Each query is compiled through the ordinary cache/single-flight
-        path — and therefore through the configured compile engine, which
-        by default is the batch slab kernel (:mod:`repro.batchopt`), so
-        warming a canned workload costs one DPsize enumeration per
+        path — and therefore through the batch slab kernel
+        (:mod:`repro.batchopt`), so warming a canned workload costs one DPsize enumeration per
         contour-band slab instead of one scalar optimize per ESS
         location.  Returns ``[(compiled, source), ...]`` in input order.
         """
@@ -421,51 +397,16 @@ class BouquetServer:
     # Serve path (compile → execute, with degradation)
     # ------------------------------------------------------------------
 
-    def serve(
-        self,
-        request: Union[ServeRequest, str, Query],
-        *,
-        budget: Optional[float] = None,
-        mode: Optional[str] = None,
-        crossing: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> ServeResponse:
+    def serve(self, request: Union[ServeRequest, str, Query]) -> ServeResponse:
         """Answer one request end to end.
 
         The canonical calling convention is a
         :class:`~repro.serve.envelope.ServeRequest`; bare SQL text (or a
         parsed query) is accepted as sugar for ``ServeRequest(query=...)``.
-
-        .. deprecated::
-            The keyword arguments (``budget``/``mode``/``crossing``/
-            ``timeout``) are the old signature; they are folded into an
-            envelope (``timeout`` becomes ``deadline``) behind a
-            :class:`DeprecationWarning`.
         """
-        if isinstance(request, ServeRequest):
-            if any(v is not None for v in (budget, mode, crossing, timeout)):
-                raise BouquetError(
-                    "serve: pass knobs inside the ServeRequest, not as "
-                    "keyword arguments"
-                )
-            return self.serve_request(request)
-        if any(v is not None for v in (budget, mode, crossing, timeout)):
-            warnings.warn(
-                "BouquetServer.serve(query, budget=..., mode=..., "
-                "crossing=..., timeout=...) is deprecated; pass a "
-                "ServeRequest envelope instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.serve_request(
-            ServeRequest(
-                query=request,
-                budget=budget,
-                mode=mode,
-                crossing=crossing,
-                deadline=timeout,
-            )
-        )
+        if not isinstance(request, ServeRequest):
+            request = ServeRequest(query=request)
+        return self.serve_request(request)
 
     def serve_request(self, request: ServeRequest) -> ServeResponse:
         """Answer one enveloped request end to end.
@@ -523,11 +464,7 @@ class BouquetServer:
                     tracer.count("serve.cached_only_misses")
         else:
             try:
-                compiled, source = self.compile(
-                    parsed,
-                    timeout=request.deadline,
-                    engine=request.compile_engine,
-                )
+                compiled, source = self.compile(parsed, timeout=request.deadline)
             except FutureTimeoutError:
                 error = "compile deadline exceeded"
                 error_code = "compile-timeout"

@@ -17,21 +17,14 @@ Non-sequential crossing strategies schedule each location's contour
 plans on their own, so their sweeps run the reference driver per
 location (:func:`repro.core.simulation.simulate_at`).
 
-Entry points: :class:`SweepEngine` for repeated sweeps over one bouquet,
-:func:`sweep_cost_field` for the dict-shaped
-:func:`~repro.core.simulation.optimized_cost_field` contract, and
-:func:`optimized_field_array` for a grid-shaped ndarray (what the
-robustness metrics in :mod:`repro.robustness.metrics` consume).
+Entry point: :class:`SweepEngine` — ``cost_field()`` for the full grid
+(what the robustness metrics in :mod:`repro.robustness.metrics`
+consume) and ``totals(locations)`` for a sample; the dict-shaped
+:func:`~repro.core.simulation.optimized_cost_field` wraps the latter.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
-
-import numpy as np
-
-from ..core.bouquet import PlanBouquet
-from ..ess.space import Location
 from .cohorts import BatchCoster, ContourTables
 from .engine import Cohort, SweepEngine
 from .memo import SweepCache, sweep_cache
@@ -42,32 +35,5 @@ __all__ = [
     "ContourTables",
     "SweepCache",
     "SweepEngine",
-    "optimized_field_array",
     "sweep_cache",
-    "sweep_cost_field",
 ]
-
-
-def sweep_cost_field(
-    bouquet: PlanBouquet,
-    locations: Optional[Iterable[Location]] = None,
-    crossing: Optional[object] = None,
-    **engine_kwargs,
-) -> Dict[Location, float]:
-    """Optimized-bouquet cost field via the sweep engine (dict-shaped).
-
-    Drop-in accelerated equivalent of the per-location loop in
-    :func:`repro.core.simulation.optimized_cost_field`.
-    """
-    engine = SweepEngine(bouquet, crossing=crossing, **engine_kwargs)
-    return engine.field_dict(locations)
-
-
-def optimized_field_array(
-    bouquet: PlanBouquet,
-    crossing: Optional[object] = None,
-    **engine_kwargs,
-) -> np.ndarray:
-    """Full-grid optimized cost field, shaped like ``space.shape``."""
-    engine = SweepEngine(bouquet, crossing=crossing, **engine_kwargs)
-    return engine.cost_field()

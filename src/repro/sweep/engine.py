@@ -133,17 +133,6 @@ class SweepEngine:
         flat = np.ravel_multi_index(tuple(coords.T), self._shape)
         return self._totals_for_flat(flat)
 
-    def field_dict(
-        self, locations: Optional[Iterable[Location]] = None
-    ) -> Dict[Location, float]:
-        """Dict-shaped field (the :func:`optimized_cost_field` contract)."""
-        locs = (
-            list(locations) if locations is not None
-            else list(self.space.locations())
-        )
-        values = self.totals(locs)
-        return {loc: float(v) for loc, v in zip(locs, values)}
-
     # ------------------------------------------------------------------
     # Sweep driver
     # ------------------------------------------------------------------

@@ -15,10 +15,10 @@ Per-query pipeline::
              -> compile_bouquet -> sweep-engine optimized field
              -> MSO/ASO vs. 4(1+lambda)rho
 
-Campaigns shard across processes exactly like parallel POSP generation
-(:func:`repro.ess.diagram._parallel_optimize`): fork-preferred pool, an
-explicit spawn fallback with a pre-flight pickle check, results streamed
-with ``imap``.  Workers rebuild the (deterministic) environment from the
+Campaigns shard across processes on the persistent :mod:`repro.par`
+pool (fork-preferred, verified-spawn fallback, results reassembled in
+submission order) — the only fan-out in the pipeline: each query
+compiles on one core.  Workers rebuild the (deterministic) environment from the
 campaign config rather than inheriting live objects, so shard results
 are independent of worker count and the report is bit-identical across
 re-runs — wall-clock timings deliberately never enter the payload.

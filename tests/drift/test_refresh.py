@@ -56,7 +56,7 @@ def old_world(schema, statistics, drift_query, drift_dims):
     optimizer = Optimizer(schema, statistics, POSTGRES_COST_MODEL)
     base = optimizer.estimated_assignment(drift_query)
     space = SelectivitySpace(drift_query, drift_dims, RESOLUTION, base)
-    diagram = PlanDiagram.exhaustive(optimizer, space, engine="batch")
+    diagram = PlanDiagram.exhaustive(optimizer, space)
     return identify_bouquet(diagram, lambda_=LAMBDA, ratio=RATIO)
 
 
@@ -69,7 +69,7 @@ def _refresh_and_reference(schema, drifted, old_bouquet, query, dims):
     )
     ref_optimizer = Optimizer(schema, drifted, POSTGRES_COST_MODEL)
     ref_space = SelectivitySpace(query, dims, RESOLUTION, base)
-    ref_diagram = PlanDiagram.exhaustive(ref_optimizer, ref_space, engine="batch")
+    ref_diagram = PlanDiagram.exhaustive(ref_optimizer, ref_space)
     reference = identify_bouquet(ref_diagram, lambda_=LAMBDA, ratio=RATIO)
     return result, reference
 

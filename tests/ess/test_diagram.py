@@ -35,29 +35,6 @@ class TestExhaustiveDiagram:
             assert arrays[own][loc] == pytest.approx(best, rel=1e-9)
 
 
-def _exploding_chunk(locations):
-    raise RuntimeError("worker crashed")
-
-
-class TestParallelExhaustive:
-    def test_parallel_matches_serial(self, optimizer, eq_space, eq_diagram):
-        """§4.2: POSP generation across workers is result-identical —
-        the exact same ``plan_ids`` and ``costs`` arrays come back."""
-        parallel = PlanDiagram.exhaustive(optimizer, eq_space, workers=2)
-        assert np.array_equal(parallel.plan_ids, eq_diagram.plan_ids)
-        assert np.allclose(parallel.costs, eq_diagram.costs)
-        assert parallel.posp_plan_ids == eq_diagram.posp_plan_ids
-
-    def test_worker_failure_surfaces(self, optimizer, eq_space, monkeypatch):
-        """A worker exception propagates through ``imap`` instead of
-        stalling the result merge."""
-        from repro.ess import diagram as diagram_module
-
-        monkeypatch.setattr(diagram_module, "_optimize_chunk", _exploding_chunk)
-        with pytest.raises(Exception):
-            PlanDiagram.exhaustive(optimizer, eq_space, workers=2, engine="reference")
-
-
 class TestCostCache:
     def test_cost_array_matches_pointwise(self, eq_diagram):
         cache = eq_diagram.cache
@@ -162,28 +139,6 @@ class TestCoarseSubgrid:
         seeds = coarse_subgrid(eq_space, per_dim=4)
         assert (0,) in seeds and (63,) in seeds
         assert len(seeds) == 4
-
-
-class TestParallelPosp:
-    def test_parallel_matches_serial(self, optimizer, eq_space, eq_diagram):
-        """§4.2: POSP generation is embarrassingly parallel — the
-        multi-process diagram is bit-identical in costs and plan choices
-        (overheads dominate at toy scale; correctness is what we test)."""
-        import numpy as np
-
-        from repro.optimizer import Optimizer
-
-        fresh = Optimizer(optimizer.schema, optimizer.statistics)
-        parallel = PlanDiagram.exhaustive(fresh, eq_space, workers=2)
-        assert np.allclose(parallel.costs, eq_diagram.costs)
-        for location in [(0,), (20,), (40,), (63,)]:
-            serial_sig = eq_diagram.registry.plan(
-                eq_diagram.plan_at(location)
-            ).signature()
-            parallel_sig = parallel.registry.plan(
-                parallel.plan_at(location)
-            ).signature()
-            assert serial_sig == parallel_sig
 
 
 class TestVectorizedCosting:

@@ -11,13 +11,12 @@ the registry properties (structural dedup, thread safety) it rests on.
 import threading
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.compile import ScalarSlabOptimizer, reference_diagram
 from repro.ess import ErrorDimension, PlanDiagram, SelectivitySpace
-from repro.ess.posp import contour_focused_posp, resolve_engine
-from repro.exceptions import EssError
+from repro.ess.posp import contour_focused_posp
 from repro.optimizer import Optimizer, actual_selectivities
 from repro.optimizer.optimizer import PlanRegistry
 from repro.query import parse_query
@@ -201,16 +200,15 @@ class TestPlanRegistryThreadSafety:
 
 
 class TestEngineEquality:
+    """The batch compile paths against the scalar per-location oracles
+    that ``make bench-compile`` races them against."""
+
     def _fresh(self, optimizer):
         return Optimizer(optimizer.schema, optimizer.statistics)
 
     def test_exhaustive_engines_byte_identical(self, optimizer, eq_space):
-        reference = PlanDiagram.exhaustive(
-            self._fresh(optimizer), eq_space, engine="reference"
-        )
-        batch = PlanDiagram.exhaustive(
-            self._fresh(optimizer), eq_space, engine="batch"
-        )
+        reference = reference_diagram(self._fresh(optimizer), eq_space)
+        batch = PlanDiagram.exhaustive(self._fresh(optimizer), eq_space)
         assert np.array_equal(reference.plan_ids, batch.plan_ids)
         assert np.array_equal(reference.costs, batch.costs)
         assert reference.posp_plan_ids == batch.posp_plan_ids
@@ -220,42 +218,9 @@ class TestEngineEquality:
 
         costs = contour_costs(eq_diagram.cmin, eq_diagram.cmax)
         reference = contour_focused_posp(
-            self._fresh(optimizer), eq_space, costs, engine="reference"
+            ScalarSlabOptimizer(self._fresh(optimizer)), eq_space, costs
         )
-        batch = contour_focused_posp(
-            self._fresh(optimizer), eq_space, costs, engine="batch"
-        )
+        batch = contour_focused_posp(self._fresh(optimizer), eq_space, costs)
         assert reference.optimized == batch.optimized
         assert reference.optimizer_calls == batch.optimizer_calls
         assert reference.pruned_boxes == batch.pruned_boxes
-        assert reference.engine == "reference" and batch.engine == "batch"
-
-    def test_unknown_engine_rejected(self, optimizer, eq_space):
-        with pytest.raises(EssError):
-            PlanDiagram.exhaustive(optimizer, eq_space, engine="warp")
-
-    def test_engine_degrades_for_duck_typed_optimizer(self):
-        class ScalarOnly:
-            def optimize(self, *a, **k):  # pragma: no cover - not called
-                raise AssertionError
-
-        assert resolve_engine(ScalarOnly(), "batch") == "reference"
-        with pytest.raises(EssError):
-            resolve_engine(ScalarOnly(), "warp")
-
-
-class TestParallelBatch:
-    def test_parallel_batch_matches_serial(self, optimizer, eq_space, eq_diagram):
-        fresh = Optimizer(optimizer.schema, optimizer.statistics)
-        parallel = PlanDiagram.exhaustive(
-            fresh, eq_space, workers=2, engine="batch"
-        )
-        assert np.array_equal(parallel.costs, eq_diagram.costs)
-        for location in [(0,), (20,), (40,), (63,)]:
-            serial_sig = eq_diagram.registry.plan(
-                eq_diagram.plan_at(location)
-            ).canonical_signature()
-            parallel_sig = parallel.registry.plan(
-                parallel.plan_at(location)
-            ).canonical_signature()
-            assert serial_sig == parallel_sig

@@ -100,3 +100,32 @@ def test_unknown_format_rejected(roundtrip):
     payload["format"] = "repro.bouquet.artifact.v999"
     with pytest.raises(BouquetError):
         CompiledBouquet.from_dict(payload, catalog)
+
+
+def test_artifact_with_legacy_compile_engine_key_loads(roundtrip, tmp_path):
+    """Artifacts written while the compile-engine selector existed carry
+    a ``compile_engine`` config key; it never affected the artifact, so
+    loading drops it."""
+    import json
+
+    catalog, original, _ = roundtrip
+    payload = original.to_dict()
+    payload["config"]["compile_engine"] = "reference"
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(payload))
+    loaded = CompiledBouquet.load(str(path), catalog)
+    assert loaded.config == original.config
+    assert "compile_engine" not in loaded.config.to_dict()
+    assert loaded.mso_bound == pytest.approx(original.mso_bound)
+
+
+def test_unknown_config_key_rejected(roundtrip, tmp_path):
+    import json
+
+    catalog, original, _ = roundtrip
+    payload = original.to_dict()
+    payload["config"]["warp_factor"] = 9
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(BouquetError, match="warp_factor"):
+        CompiledBouquet.load(str(path), catalog)

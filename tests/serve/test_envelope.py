@@ -36,8 +36,8 @@ class TestRequestValidation:
             {"deadline": -0.1},
             {"mode": "turbo"},
             {"crossing": "diagonal"},
-            {"compile_engine": "quantum"},
             {"cached_only": "yes"},
+            {"budget": float("nan")},
         ],
     )
     def test_bad_fields_rejected(self, kwargs):
@@ -86,6 +86,10 @@ class TestRequestWire:
     def test_unknown_fields_rejected(self):
         with pytest.raises(BouquetError, match="unknown fields"):
             ServeRequest.from_dict({"query": SQL, "priority": "high"})
+        # The compile-engine selector is gone; a client still sending
+        # it gets the same typed rejection.
+        with pytest.raises(BouquetError, match="compile_engine"):
+            ServeRequest.from_dict({"query": SQL, "compile_engine": "batch"})
 
     def test_unknown_format_rejected(self):
         with pytest.raises(BouquetError, match="unknown format"):

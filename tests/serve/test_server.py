@@ -124,32 +124,15 @@ def test_budget_exhaustion_is_reported_not_raised(server):
     assert server.stats()["counters"]["serve.budget_exhausted"] == 1
 
 
-def test_legacy_kwargs_pass_through_the_deprecation_adapter(server):
-    """The pre-envelope signature still works, loudly."""
-    with pytest.warns(DeprecationWarning, match="ServeRequest"):
-        served = server.serve(SQL, budget=1e-3)
-    assert served.status == "budget-exhausted"
-
-    with pytest.warns(DeprecationWarning):
-        fast = server.serve(SQL, crossing="concurrent")
-    assert fast.status == "ok"
-    assert fast.result.crossing == "concurrent"
-
-
-def test_envelope_and_kwargs_together_is_an_error(server):
-    with pytest.raises(BouquetError, match="inside the ServeRequest"):
-        server.serve(ServeRequest(query=SQL), budget=1e9)
-
-
 def test_compile_timeout_degrades_to_native_path(catalog, small_config, tracer):
     with BouquetServer(
         catalog, config=small_config, compile_timeout=0.05, tracer=tracer
     ) as server:
         inner = server._compile_and_store
 
-        def slow_compile(key, query, sql, config=None):
+        def slow_compile(key, query, sql):
             time.sleep(0.4)
-            return inner(key, query, sql, config)
+            return inner(key, query, sql)
 
         server._compile_and_store = slow_compile
         served = server.serve(SQL)
@@ -176,7 +159,7 @@ def test_compile_timeout_degrades_to_native_path(catalog, small_config, tracer):
 
 def test_compile_failure_degrades_to_native_path(catalog, small_config, tracer):
     with BouquetServer(catalog, config=small_config, tracer=tracer) as server:
-        def broken_compile(key, query, sql, config=None):
+        def broken_compile(key, query, sql):
             raise BouquetError("synthetic compile failure")
 
         server._compile_and_store = broken_compile
@@ -256,6 +239,32 @@ def test_server_over_disk_store(catalog, small_config, tmp_path):
         warm = server.serve(SQL)
         assert warm.cache == "disk"
         assert warm.rows == first.rows
+
+
+def test_disk_envelope_with_legacy_compile_engine_key_is_a_disk_hit(
+    catalog, small_config, tmp_path
+):
+    """A store entry whose artifact config still carries the removed
+    ``compile_engine`` key is served, not purged and recompiled."""
+    import json
+
+    with BouquetServer(
+        catalog, config=small_config, store=BouquetArtifactStore(root=str(tmp_path))
+    ) as server:
+        first = server.serve(SQL)
+        assert first.cache == "compiled"
+    envelopes = list(tmp_path.glob("*.json"))
+    assert len(envelopes) == 1
+    envelope = json.loads(envelopes[0].read_text())
+    envelope["artifact"]["config"]["compile_engine"] = "reference"
+    envelopes[0].write_text(json.dumps(envelope))
+    with BouquetServer(
+        catalog, config=small_config, store=BouquetArtifactStore(root=str(tmp_path))
+    ) as server:
+        warm = server.serve(SQL)
+        assert warm.cache == "disk"
+        assert warm.rows == first.rows
+    assert envelopes[0].exists()
 
 
 def test_per_request_crossing_override(server):

@@ -52,13 +52,13 @@ def test_warm_sweep_memoizes_on_the_artifact(server):
 
 
 def test_warm_sweep_matches_reference(server):
-    from repro.core.simulation import optimized_cost_field
+    from repro.core.simulation import simulate_at
 
     field = server.warm_sweep(SQL)
     compiled, _ = server.compile(SQL)
-    ref = optimized_cost_field(compiled.bouquet, engine="reference")
-    for loc, total in ref.items():
-        assert field[loc] == pytest.approx(total, rel=1e-9)
+    for loc in compiled.space.locations():
+        ref = simulate_at(compiled.bouquet, loc).total_cost
+        assert field[loc] == pytest.approx(ref, rel=1e-9)
 
 
 def test_warm_sweep_runs_under_the_artifacts_knobs(catalog):

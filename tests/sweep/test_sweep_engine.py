@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 
 from repro.core.simulation import optimized_cost_field, simulate_at
 from repro.core.runtime import BouquetRunner
-from repro.sweep import SweepEngine, optimized_field_array, sweep_cost_field
+from repro.robustness import optimized_field
+from repro.sweep import SweepEngine
 from repro.sweep.memo import sweep_cache
 
 RTOL = 1e-9
 
 
 def _reference_field(bouquet):
-    ref = optimized_cost_field(bouquet, engine="reference")
-    shape = bouquet.space.shape
-    out = np.empty(shape)
-    for loc, total in ref.items():
-        out[loc] = total
+    """The per-location driver looped over the grid (the oracle)."""
+    out = np.empty(bouquet.space.shape)
+    for loc in bouquet.space.locations():
+        out[loc] = simulate_at(bouquet, loc, mode="optimized").total_cost
     return out
 
 
@@ -82,7 +82,7 @@ class TestFieldEquality:
 
     def test_subset_locations_dict_contract(self, q3d):
         locations = [(0, 0, 0), (2, 4, 6), (6, 6, 6), (3, 1, 5)]
-        swept = sweep_cost_field(q3d.bouquet, locations=locations)
+        swept = optimized_cost_field(q3d.bouquet, locations=locations)
         assert set(swept) == set(locations)
         for loc in locations:
             ref = simulate_at(q3d.bouquet, loc, mode="optimized").total_cost
@@ -90,10 +90,10 @@ class TestFieldEquality:
 
     def test_default_engine_is_sweep_and_matches_reference(self, q3d):
         swept = optimized_cost_field(q3d.bouquet)
-        ref = optimized_cost_field(q3d.bouquet, engine="reference")
-        assert set(swept) == set(ref)
-        for loc, total in ref.items():
-            assert swept[loc] == pytest.approx(total, rel=RTOL)
+        ref = _reference_field(q3d.bouquet)
+        assert set(swept) == set(q3d.space.locations())
+        for loc, total in swept.items():
+            assert total == pytest.approx(ref[loc], rel=RTOL)
 
     def test_campaign_query_matches_simulate_at(self, campaign_bouquet):
         field = SweepEngine(campaign_bouquet).cost_field(refresh=True)
@@ -163,7 +163,7 @@ class TestEngineMechanics:
         assert not np.allclose(sequential, concurrent, rtol=1e-6)
 
     def test_array_entry_point_shape(self, q3d):
-        field = optimized_field_array(q3d.bouquet)
+        field = optimized_field(q3d.bouquet)
         assert field.shape == q3d.space.shape
         assert (field > 0).all()
 

@@ -123,19 +123,14 @@ class TestReadmeSnippets:
         catalog = Catalog(
             schema, statistics=db.build_statistics(sample_size=500), database=db
         )
+        from repro.bench.compile import reference_diagram
+
         compiled = compile_bouquet(
             README_SQL, catalog, config=BouquetConfig(resolution=16)
         )
-        reference = compile_bouquet(
-            README_SQL,
-            catalog,
-            config=BouquetConfig(resolution=16, compile_engine="reference"),
-        )
-        # Identical artifact, whichever engine compiled it.
-        assert compiled.config.compile_engine == "batch"
-        assert reference.bouquet.cardinality == compiled.bouquet.cardinality
-        assert reference.bouquet.budgets == compiled.bouquet.budgets
-        assert reference.mso_bound == compiled.mso_bound
+        # The scalar oracle reproduces the compiled diagram bit for bit.
+        oracle = reference_diagram(catalog.optimizer(), compiled.space)
+        assert (oracle.costs == compiled.bouquet.diagram.costs).all()
 
     def test_serving_snippet(self):
         """The README's async-serving quickstart: envelope in, typed
