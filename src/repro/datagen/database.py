@@ -9,8 +9,9 @@ statistics), which is the knob that creates realistic estimation errors.
 from __future__ import annotations
 
 import hashlib
+import threading
 import zlib
-from typing import Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Mapping, Optional, TypeVar
 
 import numpy as np
 
@@ -23,8 +24,13 @@ from ..catalog.statistics import (
 from ..exceptions import CatalogError
 from .generators import ColumnGenerator, CorrelatedFloat
 
+if TYPE_CHECKING:
+    from ..executor.arrays import SortedKeys
+
 #: Generator spec type: table -> column -> generator.
 GeneratorSpec = Mapping[str, Mapping[str, ColumnGenerator]]
+
+T = TypeVar("T")
 
 
 def _column_rng(root: np.random.SeedSequence, table: str, column: str) -> np.random.Generator:
@@ -39,13 +45,103 @@ def _column_rng(root: np.random.SeedSequence, table: str, column: str) -> np.ran
     )
 
 
+def _table(tables: Dict[str, Dict[str, np.ndarray]], name: str) -> Dict[str, np.ndarray]:
+    try:
+        return tables[name]
+    except KeyError:
+        raise CatalogError(f"database has no table {name!r}") from None
+
+
+def _column(tables: Dict[str, Dict[str, np.ndarray]], table: str, column: str) -> np.ndarray:
+    try:
+        return _table(tables, table)[column]
+    except KeyError:
+        raise CatalogError(f"table {table!r} has no column {column!r}") from None
+
+
+class ExecutionContext:
+    """Facts that depend only on one database's data, built once and shared.
+
+    Every execution over the database reads the same context — per-request
+    engines, ``native_run``, concurrent-crossing workers — so each fact is
+    paid for once per database instead of once per request:
+
+    * :meth:`sorted_column` — a column as a simulated B-tree index (sorted
+      values, stable argsort order, unique-keys flag), keyed by
+      ``(table, column)``;
+    * :meth:`join_selectivity` — a measured equi-join selectivity, keyed
+      by the ordered column pair.
+
+    Entries are built on first use under a lock, so concurrent readers
+    build each one exactly once.  :meth:`Database.invalidate_fingerprint`
+    replaces the whole context after in-place data mutation.  The context
+    holds the database's tables, not the database: a reference cycle would
+    keep every dropped database's arrays alive until a full collection.
+    """
+
+    def __init__(self, tables: Dict[str, Dict[str, np.ndarray]]):
+        self._tables = tables
+        self._lock = threading.Lock()
+        self._entries: Dict[Hashable, object] = {}
+
+    def _memo(self, key: Hashable, build: Callable[[], T]) -> T:
+        entry = self._entries.get(key)
+        if entry is None:
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is None:
+                    entry = self._entries[key] = build()
+        return entry  # type: ignore[return-value]
+
+    def sorted_column(self, table: str, column: str) -> "SortedKeys":
+        """``table.column`` as a simulated B-tree index."""
+        return self._memo(("sorted", table, column), lambda: self._sort(table, column))
+
+    def join_selectivity(
+        self, left_table: str, left_column: str, right_table: str, right_column: str
+    ) -> float:
+        """Ground-truth join selectivity |L ⋈ R| / (|L| * |R|)."""
+        return self._memo(
+            ("join", left_table, left_column, right_table, right_column),
+            lambda: self._measure_join(left_table, left_column, right_table, right_column),
+        )
+
+    def _sort(self, table: str, column: str) -> "SortedKeys":
+        # Imported here: the executor package imports this module.
+        from ..executor.arrays import sort_keys
+
+        keys = sort_keys(_column(self._tables, table, column))
+        # Shared by every execution: nothing may write to it.
+        keys.values.flags.writeable = False
+        keys.order.flags.writeable = False
+        return keys
+
+    def _measure_join(
+        self, left_table: str, left_column: str, right_table: str, right_column: str
+    ) -> float:
+        left = _column(self._tables, left_table, left_column)
+        right = _column(self._tables, right_table, right_column)
+        values, left_counts = np.unique(left, return_counts=True)
+        rvalues, right_counts = np.unique(right, return_counts=True)
+        common, li, ri = np.intersect1d(values, rvalues, return_indices=True)
+        if common.size == 0:
+            return 0.0
+        matches = float(np.dot(left_counts[li].astype(float), right_counts[ri].astype(float)))
+        return matches / (left.size * right.size)
+
+
 class Database:
-    """Generated relational data for a :class:`~repro.catalog.schema.Schema`."""
+    """Generated relational data for a :class:`~repro.catalog.schema.Schema`.
+
+    ``context`` is the database's :class:`ExecutionContext`: the sorted
+    columns and join selectivities every execution reuses.
+    """
 
     def __init__(self, schema: Schema, tables: Dict[str, Dict[str, np.ndarray]]):
         self.schema = schema
         self._tables = tables
         self._fingerprint: Optional[str] = None
+        self.context = ExecutionContext(self._tables)
         for name, cols in tables.items():
             table = schema.table(name)
             lengths = {arr.size for arr in cols.values()}
@@ -106,17 +202,10 @@ class Database:
     # ------------------------------------------------------------------
 
     def table(self, name: str) -> Dict[str, np.ndarray]:
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise CatalogError(f"database has no table {name!r}") from None
+        return _table(self._tables, name)
 
     def column(self, table: str, column: str) -> np.ndarray:
-        cols = self.table(table)
-        try:
-            return cols[column]
-        except KeyError:
-            raise CatalogError(f"table {table!r} has no column {column!r}") from None
+        return _column(self._tables, table, column)
 
     def row_count(self, table: str) -> int:
         return self.schema.table(table).row_count
@@ -143,8 +232,21 @@ class Database:
         return self._fingerprint
 
     def invalidate_fingerprint(self) -> None:
-        """Drop the cached fingerprint after in-place data mutation."""
+        """Drop everything derived from the data after in-place mutation:
+        the cached fingerprint and the execution context (sorted columns
+        and measured join selectivities), which is rebuilt on demand."""
         self._fingerprint = None
+        self.context = ExecutionContext(self._tables)
+
+    def __getstate__(self) -> dict:
+        # The context (and its lock) is rebuilt, not pickled.
+        state = dict(self.__dict__)
+        del state["context"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.context = ExecutionContext(self._tables)
 
     # ------------------------------------------------------------------
     # Statistics
@@ -198,13 +300,8 @@ class Database:
     def actual_join_selectivity(
         self, left_table: str, left_column: str, right_table: str, right_column: str
     ) -> float:
-        """Ground-truth join selectivity |L ⋈ R| / (|L| * |R|)."""
-        left = self.column(left_table, left_column)
-        right = self.column(right_table, right_column)
-        values, left_counts = np.unique(left, return_counts=True)
-        rvalues, right_counts = np.unique(right, return_counts=True)
-        common, li, ri = np.intersect1d(values, rvalues, return_indices=True)
-        if common.size == 0:
-            return 0.0
-        matches = float(np.dot(left_counts[li].astype(float), right_counts[ri].astype(float)))
-        return matches / (left.size * right.size)
+        """Ground-truth join selectivity |L ⋈ R| / (|L| * |R|), measured
+        once per column pair (see :class:`ExecutionContext`)."""
+        return self.context.join_selectivity(
+            left_table, left_column, right_table, right_column
+        )

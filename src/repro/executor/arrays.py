@@ -6,7 +6,7 @@ Batches are dictionaries mapping *qualified* column names
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -73,6 +73,47 @@ def apply_selections(batch: Batch, preds: Sequence[SelectionPredicate]) -> Batch
     if mask.all():
         return batch
     return {name: array[mask] for name, array in batch.items()}
+
+
+class SortedKeys(NamedTuple):
+    """Keys in ascending order: ``values == keys[order]`` with ``order``
+    the stable argsort; ``unique`` when no key repeats."""
+
+    values: np.ndarray
+    order: np.ndarray
+    unique: bool
+
+
+def sort_keys(keys: np.ndarray) -> SortedKeys:
+    """Sort a build side (or an index column) once for :func:`join_sorted`."""
+    order = np.argsort(keys, kind="stable")
+    values = keys[order]
+    # Strictly increasing means unique; NaN (sorted last) never counts as
+    # unique, because searchsorted matches NaN to NaN and ``==`` does not.
+    unique = bool(np.all(values[1:] > values[:-1])) and not (
+        values.size and values[-1] != values[-1]
+    )
+    return SortedKeys(values, order, unique)
+
+
+def join_sorted(probe_keys: np.ndarray, build: SortedKeys) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`join_indices` against a sorted build side.
+
+    With unique build keys every probe key matches at most once, so one
+    searchsorted pass plus an equality test finds the same pairs, in the
+    same order and dtypes, as the two-pass general case.
+    """
+    if not build.unique:
+        return join_indices(probe_keys, build.values, build.order)
+    size = build.values.size
+    empty = np.empty(0, dtype=np.int64)
+    if size == 0:
+        return empty, empty
+    lo = np.searchsorted(build.values, probe_keys, side="left")
+    probe_idx = np.flatnonzero(build.values[np.minimum(lo, size - 1)] == probe_keys)
+    if probe_idx.size == 0:
+        return empty, empty
+    return probe_idx, build.order[lo[probe_idx]]
 
 
 def join_indices(

@@ -45,9 +45,10 @@ from .arrays import (
     apply_selections,
     batch_length,
     concat,
-    join_indices,
+    join_sorted,
     merge_batches,
     qualify,
+    sort_keys,
 )
 from .instrumentation import Instrumentation
 
@@ -110,7 +111,6 @@ class ExecutionEngine:
             raise ExecutionError("batch_size must be positive")
         self.perturbation = perturbation
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._sorted_columns: Dict[Tuple[str, str], Tuple[np.ndarray, np.ndarray]] = {}
 
     def _trace_run(self, spilled: bool, result: "ExecutionResult") -> None:
         """One event per engine execution — never per batch, so the hot
@@ -306,17 +306,6 @@ class ExecutionEngine:
                 yield batch
         inst.mark_finished(node)
 
-    def _sorted_column(self, table: str, column: str) -> Tuple[np.ndarray, np.ndarray]:
-        """(sorted values, argsort order) for a simulated B-tree index."""
-        key = (table, column)
-        cached = self._sorted_columns.get(key)
-        if cached is None:
-            values = self.database.column(table, column)
-            order = np.argsort(values, kind="stable")
-            cached = (values[order], order)
-            self._sorted_columns[key] = cached
-        return cached
-
     def _matching_positions(
         self, sorted_values: np.ndarray, pred: SelectionPredicate
     ) -> Tuple[int, int]:
@@ -337,14 +326,14 @@ class ExecutionEngine:
         model = self.cost_model
         index_pred = self._selection(query, node.index_pid)
         residuals = [self._selection(query, pid) for pid in node.filter_pids]
-        sorted_values, order = self._sorted_column(node.table, index_pred.column)
+        keys = self.database.context.sorted_column(node.table, index_pred.column)
         index = IndexInfo.for_table(table, index_pred.column)
         self._charge(inst, node, index.height * model.random_page_cost)
-        lo, hi = self._matching_positions(sorted_values, index_pred)
+        lo, hi = self._matching_positions(keys.values, index_pred)
         matched = hi - lo
         leaf_share = (matched / max(1, table.row_count)) * index.leaf_pages
         self._charge(inst, node, leaf_share * model.seq_page_cost)
-        row_ids = order[lo:hi]
+        row_ids = keys.order[lo:hi]
         per_row = (
             model.cpu_index_tuple_cost
             + model.random_page_cost
@@ -440,12 +429,7 @@ class ExecutionEngine:
             )
         probe_seen = 0
         if build_rows:
-            build_keys = build[right_key]
-            build_order = np.argsort(build_keys, kind="stable")
-            build_sorted = build_keys[build_order]
-        else:
-            build_order = np.empty(0, dtype=np.int64)
-            build_sorted = np.empty(0)
+            build_keys = sort_keys(build[right_key])
         for probe in self._run(node.left, query, inst):
             probe_rows = batch_length(probe)
             if flavour == "hash":
@@ -462,7 +446,7 @@ class ExecutionEngine:
                 )
             if not build_rows:
                 continue
-            probe_idx, build_idx = join_indices(probe[left_key], build_sorted, build_order)
+            probe_idx, build_idx = join_sorted(probe[left_key], build_keys)
             out = merge_batches(probe, probe_idx, build, build_idx)
             out = self._composite_filter(out, extras, node, inst)
             count = batch_length(out)
@@ -479,9 +463,7 @@ class ExecutionEngine:
         inner_rows = batch_length(inner)
         self._charge(inst, node, inner_rows * model.cpu_tuple_cost)  # materialize
         if inner_rows:
-            inner_keys = inner[right_key]
-            inner_order = np.argsort(inner_keys, kind="stable")
-            inner_sorted = inner_keys[inner_order]
+            inner_keys = sort_keys(inner[right_key])
         for outer in self._run(node.left, query, inst):
             outer_rows = batch_length(outer)
             # The nested-loop comparisons are charged faithfully even though
@@ -489,7 +471,7 @@ class ExecutionEngine:
             self._charge(inst, node, outer_rows * inner_rows * model.cpu_operator_cost)
             if not inner_rows:
                 continue
-            outer_idx, inner_idx = join_indices(outer[left_key], inner_sorted, inner_order)
+            outer_idx, inner_idx = join_sorted(outer[left_key], inner_keys)
             out = merge_batches(outer, outer_idx, inner, inner_idx)
             out = self._composite_filter(out, extras, node, inst)
             count = batch_length(out)
@@ -504,7 +486,7 @@ class ExecutionEngine:
         inner: IndexLookup = node.right  # type: ignore[assignment]
         outer_key = qualify(driving.other(inner.table), driving.column_for(driving.other(inner.table)))
         residuals = [self._selection(query, pid) for pid in inner.filter_pids]
-        sorted_values, order = self._sorted_column(inner.table, inner.lookup_column)
+        index_keys = self.database.context.sorted_column(inner.table, inner.lookup_column)
         data = self.database.table(inner.table)
         per_match = (
             model.cpu_index_tuple_cost
@@ -515,7 +497,7 @@ class ExecutionEngine:
         for outer in self._run(node.left, query, inst):
             outer_rows = batch_length(outer)
             self._charge(inst, node, outer_rows * model.random_page_cost)  # descents
-            outer_idx, inner_idx = join_indices(outer[outer_key], sorted_values, order)
+            outer_idx, inner_idx = join_sorted(outer[outer_key], index_keys)
             self._charge(inst, node, inner_idx.size * per_match)
             needed = getattr(inst, "needed_columns", None)
             inner_batch = {

@@ -3,7 +3,9 @@
 A :class:`Tracer` carries three kinds of telemetry:
 
 * **spans** — nestable, timed scopes (``session.compile``,
-  ``execute.bouquet``, ...) opened with :meth:`Tracer.span`;
+  ``execute.bouquet``, ...) opened with :meth:`Tracer.span`; the open
+  spans are kept per thread and per asyncio task, so concurrent
+  requests build separate, well-formed trees;
 * **events** — typed point-in-time records (one bouquet execution, one
   pruned hypercube, ...) emitted with :meth:`Tracer.event`;
 * **metrics** — named counters (:meth:`Tracer.count`) and timing
@@ -24,11 +26,13 @@ the fan-out instead).
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "Sink",
@@ -222,24 +226,30 @@ class Tracer:
         self.clock = clock
         self.counters: Dict[str, float] = {}
         self.timings: Dict[str, TimingStats] = {}
-        self._next_span_id = 1
-        self._stack: List[int] = []
+        # ``next`` on an itertools.count is atomic, so concurrent threads
+        # never share a span id.
+        self._span_ids = itertools.count(1)
+        # The open spans, per thread and per asyncio task: each context
+        # sees its own stack, so a span's parent is always a span of the
+        # same thread or task.  Immutable tuples, so a copied context
+        # (a task, ``copy_context().run``) cannot alter its origin's.
+        self._stack: contextvars.ContextVar[Tuple[int, ...]] = contextvars.ContextVar(
+            "repro_tracer_spans", default=()
+        )
         # Counters/timings are bumped from serving worker threads; the
-        # read-modify-write must be atomic.  (Spans remain effectively
-        # single-threaded: concurrent requests nest under their own
-        # call stacks and the serving layer never shares one span.)
+        # read-modify-write must be atomic.
         self._metrics_lock = threading.Lock()
 
     # -- spans ----------------------------------------------------------
 
     @property
     def current_span_id(self) -> int:
-        return self._stack[-1] if self._stack else 0
+        stack = self._stack.get()
+        return stack[-1] if stack else 0
 
     def span(self, name: str, **attrs) -> Span:
-        span = Span(self, name, self._next_span_id, self.current_span_id, attrs)
-        self._next_span_id += 1
-        self._stack.append(span.span_id)
+        span = Span(self, name, next(self._span_ids), self.current_span_id, attrs)
+        self._stack.set(self._stack.get() + (span.span_id,))
         self.sink.emit(
             {
                 "type": "span_start",
@@ -253,11 +263,9 @@ class Tracer:
 
     def _end_span(self, span: Span) -> None:
         # Spans close LIFO in normal use; tolerate out-of-order exits.
-        if span.span_id in self._stack:
-            while self._stack and self._stack[-1] != span.span_id:
-                self._stack.pop()
-            if self._stack:
-                self._stack.pop()
+        stack = self._stack.get()
+        if span.span_id in stack:
+            self._stack.set(stack[: stack.index(span.span_id)])
         now = self.clock()
         self.sink.emit(
             {

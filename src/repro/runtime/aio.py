@@ -13,6 +13,7 @@ control in the gateway), so the executor queue cannot grow silently.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import functools
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -48,10 +49,13 @@ class AsyncioRuntime(Runtime):
         return self._pool.submit(fn, *args, **kwargs)
 
     async def arun(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Await ``fn(*args, **kwargs)`` executed on the worker pool."""
+        """Await ``fn(*args, **kwargs)`` executed on the worker pool, in a
+        copy of the caller's context (as :func:`asyncio.to_thread` does),
+        so its trace spans nest under the caller's."""
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
-            self._pool, functools.partial(fn, *args, **kwargs)
+            self._pool,
+            functools.partial(contextvars.copy_context().run, fn, *args, **kwargs),
         )
 
     async def asleep(self, seconds: float) -> None:

@@ -24,6 +24,7 @@ into ``q_run`` (first-quadrant invariant) before climbing.
 
 from __future__ import annotations
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Dict, Optional
 
@@ -124,9 +125,12 @@ class ConcurrentCrossing(CrossingStrategy):
         with ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="sched-cross"
         ) as pool:
+            # Each worker runs in a copy of this thread's context, so its
+            # trace records attach to the crossing's span.
             futures = {
                 pool.submit(
-                    call_full, request.service, pid, request.budget, tokens[pid]
+                    contextvars.copy_context().run,
+                    call_full, request.service, pid, request.budget, tokens[pid],
                 ): pid
                 for pid in plans
             }

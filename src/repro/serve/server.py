@@ -46,6 +46,7 @@ template rebind → single-flight compile → NAT fallback → failure.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -282,8 +283,10 @@ class BouquetServer:
                         template_future = self._template_inflight.get(sig.digest)
                     if template_future is None:
                         owner = True
+                        # The compile's spans nest under this request's.
                         future = self._pool.submit(
-                            self._compile_and_store, key, parsed, sql
+                            contextvars.copy_context().run,
+                            self._compile_and_store, key, parsed, sql,
                         )
                         self._inflight[key.digest] = future
                         if sig is not None and sig.digest not in self._template_inflight:

@@ -11,9 +11,11 @@ from repro.executor.arrays import (
     batch_length,
     concat,
     join_indices,
+    join_sorted,
     merge_batches,
     qualify,
     selection_mask,
+    sort_keys,
     take,
 )
 from repro.query import SelectionPredicate
@@ -105,6 +107,59 @@ class TestJoinIndices:
         empty = np.empty(0, dtype=np.int64)
         p, b = join_indices(empty, empty, empty)
         assert p.size == 0 and b.size == 0
+
+
+def _int_keys(unique):
+    return st.lists(st.integers(min_value=-20, max_value=20), max_size=40, unique=unique)
+
+
+def _float_keys(unique):
+    values = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False).map(
+        lambda x: round(x, 1)  # coarse, so probes hit build keys
+    )
+    return st.lists(values, max_size=40, unique=unique)
+
+
+class TestJoinSorted:
+    """The unique-key path gives the two-pass path's pairs and dtypes."""
+
+    @staticmethod
+    def check(probe, build):
+        keys = sort_keys(build)
+        got = join_sorted(probe, keys)
+        want = join_indices(probe, keys.values, keys.order)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+        return keys
+
+    @given(data=st.data(), dtype=st.sampled_from(["int", "float"]), unique=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_two_pass(self, data, dtype, unique):
+        keys = _int_keys if dtype == "int" else _float_keys
+        numpy_dtype = np.int64 if dtype == "int" else np.float64
+        build = np.array(data.draw(keys(unique)), dtype=numpy_dtype)
+        probe = np.array(data.draw(keys(False)), dtype=numpy_dtype)
+        sorted_build = self.check(probe, build)
+        if unique:
+            assert sorted_build.unique
+        elif len(set(build.tolist())) < build.size:
+            assert not sorted_build.unique
+        # All-miss probes: every probe key lies outside the build range.
+        self.check(probe + 1000, build)
+
+    def test_empty_build_and_empty_probe(self):
+        empty = np.empty(0, dtype=np.int64)
+        some = np.array([-3, 0, 5], dtype=np.int64)
+        for probe, build in ((some, empty), (empty, some), (empty, empty)):
+            self.check(probe, build)
+
+    def test_nan_keys_take_the_two_pass_path(self):
+        build = np.array([np.nan, 1.0, 2.0])
+        assert not sort_keys(build).unique
+        assert not sort_keys(np.array([np.nan])).unique
+        self.check(np.array([np.nan, 2.0, 3.0]), build)
+        self.check(np.array([np.nan, 2.0]), np.array([np.nan]))
 
 
 class TestMergeBatches:

@@ -1,7 +1,10 @@
 """Unit tests for the tracing + metrics subsystem."""
 
+import asyncio
 import json
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -65,6 +68,101 @@ class TestSpans:
         span.end()
         assert sink.spans("manual")[0]["attrs"] == {"done": True}
         assert tracer.current_span_id == 0
+
+
+class TestConcurrentSpans:
+    def test_threads_parent_spans_within_their_own_thread(self):
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        barrier = threading.Barrier(2)
+
+        def work(tag):
+            # Both outers are open before either inner starts.
+            with tracer.span("outer", tag=tag):
+                barrier.wait(timeout=30)
+                with tracer.span("inner", tag=tag):
+                    barrier.wait(timeout=30)
+
+        threads = [threading.Thread(target=work, args=(tag,)) for tag in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        ends = {(r["name"], r["attrs"]["tag"]): r for r in sink.spans()}
+        assert len({r["span"] for r in ends.values()}) == 4
+        for tag in (0, 1):
+            assert ends["outer", tag]["parent"] == 0
+            assert ends["inner", tag]["parent"] == ends["outer", tag]["span"]
+        assert tracer.current_span_id == 0
+
+    def test_asyncio_tasks_parent_spans_within_their_own_task(self):
+        sink = MemorySink()
+        tracer = Tracer(sink)
+
+        async def work(tag):
+            with tracer.span("outer", tag=tag):
+                await asyncio.sleep(0)
+                with tracer.span("inner", tag=tag):
+                    await asyncio.sleep(0)
+
+        async def main():
+            with tracer.span("root"):
+                await asyncio.gather(work(0), work(1))
+
+        asyncio.run(main())
+        ends = {(r["name"], r["attrs"].get("tag")): r for r in sink.spans()}
+        root = ends["root", None]["span"]
+        for tag in (0, 1):
+            assert ends["outer", tag]["parent"] == root
+            assert ends["inner", tag]["parent"] == ends["outer", tag]["span"]
+
+    def test_span_ids_unique_across_threads(self):
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        barrier = threading.Barrier(4)
+
+        def work():
+            barrier.wait(timeout=30)
+            for _ in range(200):
+                with tracer.span("s"):
+                    pass
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        ids = [r["span"] for r in sink.spans("s")]
+        assert sorted(ids) == list(range(1, 801))
+
+    def test_runtime_offload_nests_under_the_caller(self):
+        from repro.runtime.aio import AsyncioRuntime
+
+        sink = MemorySink()
+        tracer = Tracer(sink)
+
+        def offloaded():
+            with tracer.span("offloaded"):
+                pass
+
+        async def main():
+            with tracer.span("request") as request:
+                await runtime.arun(offloaded)
+            return request.span_id
+
+        runtime = AsyncioRuntime(max_workers=1)
+        try:
+            request_id = asyncio.run(main())
+        finally:
+            runtime.shutdown()
+        assert sink.spans("offloaded")[0]["parent"] == request_id
 
 
 class TestMetrics:

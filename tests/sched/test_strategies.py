@@ -64,6 +64,22 @@ class TestSequentialParity:
 
 
 class TestConcurrentCrossing:
+    def test_worker_trace_records_attach_to_the_crossing_span(self, q8a, lab):
+        from repro.executor import ExecutionEngine, RealExecutionService
+        from repro.obs import MemorySink, Tracer
+
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        engine = ExecutionEngine(lab.h_db, tracer=tracer)
+        service = RealExecutionService(q8a.bouquet, engine)
+        BouquetRunner(
+            q8a.bouquet, service, mode="basic", crossing="concurrent", tracer=tracer
+        ).run()
+        assert max(len(c.plan_ids) for c in q8a.bouquet.contours) > 1
+        crossings = {s["span"] for s in sink.spans("sched.cross")}
+        events = sink.events("engine.execute")
+        assert events and all(e["span"] in crossings for e in events)
+
     def test_completes_everywhere_sampled(self, q8a):
         for location in sample_locations(q8a.space):
             result = run_at(q8a, location, "concurrent")

@@ -300,3 +300,10 @@ def test_warm_compile_precompiles_through_the_cache(server, tracer):
     assert counters.get("serve.warm_compiles", 0) == 4
     # Exactly two real compiles happened across both warm passes.
     assert counters.get("serve.cache.miss", 0) == 2
+
+
+def test_pool_compile_spans_nest_under_the_submitting_request(server, tracer):
+    with tracer.span("request") as request:
+        assert server.serve(SQL).cache == "compiled"
+    compile_span = tracer.sink.spans("serve.compile")[0]
+    assert compile_span["parent"] == request.span_id
