@@ -7,10 +7,10 @@ optimizer).  The public entry point is
 :meth:`repro.optimizer.Optimizer.optimize_batch`.
 """
 
-from .kernel import BatchPlanChoice, batch_best_plans, stack_assignments
+from .kernel import BatchPlanChoice, batch_best_plans, slab_length
 
 __all__ = [
     "BatchPlanChoice",
     "batch_best_plans",
-    "stack_assignments",
+    "slab_length",
 ]

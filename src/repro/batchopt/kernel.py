@@ -29,7 +29,7 @@ provably equals the scalar :meth:`Optimizer.optimize` result
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from ..optimizer.joinorder import JoinEnumerator, access_paths
 from ..optimizer.plans import Aggregate, CostContext, PlanNode
 from ..query.query import Query
 
-__all__ = ["BatchPlanChoice", "batch_best_plans", "stack_assignments"]
+__all__ = ["BatchPlanChoice", "batch_best_plans", "slab_length"]
 
 
 @dataclass
@@ -50,12 +50,15 @@ class BatchPlanChoice:
     ``plans`` is the top-level frontier (every plan optimal somewhere in
     the slab); ``winner[i]`` indexes into it for location ``i``;
     ``cost``/``rows`` are the winning estimates, one entry per location.
+    ``fields[k]`` is frontier plan ``k``'s cost at *every* slab location
+    (read-only), as the DP already computed it.
     """
 
     plans: List[PlanNode]
     winner: np.ndarray
     cost: np.ndarray
     rows: np.ndarray
+    fields: List[np.ndarray]
 
     def __len__(self) -> int:
         return len(self.winner)
@@ -68,34 +71,20 @@ class BatchPlanChoice:
         return self.plans[int(self.winner[index])]
 
 
-def stack_assignments(
-    assignments: Sequence[Mapping[str, float]],
-) -> Tuple[Dict[str, object], int]:
-    """Turn per-location assignments into slab columns.
+def slab_length(columns: Mapping[str, object]) -> int:
+    """Number of locations in a slab column table.
 
-    Each pid maps to a python float when its value is constant across
-    the slab (the common case: only error-dimension pids vary) or to a
-    1-D float array otherwise.  Constant pids keep leaf estimates scalar,
-    which the frontier selection broadcasts lazily.
+    Every per-location column must have the same length; a table with
+    no per-location column has no slab axis and is rejected.
     """
-    if not assignments:
-        raise OptimizerError("optimize_batch needs at least one location")
-    first = assignments[0]
-    pids = set(first)
-    columns: Dict[str, object] = {}
-    for assignment in assignments[1:]:
-        if set(assignment) != pids:
-            raise QueryError(
-                "batch assignments must cover identical predicate sets"
-            )
-    for pid in first:
-        values = [assignment[pid] for assignment in assignments]
-        head = values[0]
-        if all(value == head for value in values[1:]):
-            columns[pid] = float(head)
-        else:
-            columns[pid] = np.asarray(values, dtype=float)
-    return columns, len(assignments)
+    lengths = {
+        int(np.size(column)) for column in columns.values() if np.ndim(column) == 1
+    }
+    if len(lengths) != 1:
+        raise QueryError(
+            "a slab column table needs per-location columns of one length"
+        )
+    return lengths.pop()
 
 
 def validate_columns(query: Query, columns: Mapping[str, object], length: int):
@@ -208,7 +197,8 @@ def batch_best_plans(
 ) -> BatchPlanChoice:
     """Run the frontier DP over one slab; returns per-location winners.
 
-    ``columns`` is the slab column table from :func:`stack_assignments`;
+    ``columns`` is the slab column table (for an ESS, from
+    :meth:`~repro.ess.space.SelectivitySpace.columns`);
     ``enumerator`` is the query's (cached) :class:`JoinEnumerator` for
     multi-table queries.
     """
@@ -227,8 +217,18 @@ def batch_best_plans(
 
     if query.aggregate:
         top = _wrap_aggregate(query, top, ctx, length)
+    # Each frontier plan was costed over the whole slab (its offer's
+    # mask only limited where it could win); the memo still holds it.
+    fields = [
+        np.broadcast_to(np.asarray(plan.estimate(ctx).cost, dtype=float), (length,))
+        for plan in top.plans
+    ]
     return BatchPlanChoice(
-        plans=top.plans, winner=top.winner, cost=top.cost, rows=top.rows
+        plans=top.plans,
+        winner=top.winner,
+        cost=top.cost,
+        rows=top.rows,
+        fields=fields,
     )
 
 

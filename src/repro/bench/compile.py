@@ -14,6 +14,10 @@ checks two acceptance criteria:
   the chosen plan (compared structurally, by canonical signature) and
   its cost (bitwise: both paths execute the same IEEE-754 operations).
 
+The batch diagram's cost cache is seeded with the DP's own frontier
+cost fields; every POSP plan must have one, bit-identical to
+``cost_plan`` over the ESS meshgrid (``field_mismatches``).
+
 The contour-focused band exploration (§4.2) is raced the same way:
 :func:`~repro.ess.posp.contour_focused_posp` runs once as is and once
 over :class:`ScalarSlabOptimizer`, whose ``optimize_batch`` is the same
@@ -31,10 +35,11 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..batchopt.kernel import slab_length
 from ..catalog.tpcds import tpcds_schema
 from ..catalog.tpch import tpch_generator_spec, tpch_schema
 from ..core.contours import contour_costs
@@ -44,7 +49,7 @@ from ..ess.posp import contour_focused_posp
 from ..ess.space import SelectivitySpace
 from ..obs.tracer import MemorySink, Tracer
 from ..optimizer.cost_model import POSTGRES_COST_MODEL
-from ..optimizer.optimizer import OptimizedPlan, Optimizer
+from ..optimizer.optimizer import Optimizer, SlabPlans
 from ..optimizer.selectivity import actual_selectivities
 from ..query.query import Query
 from ..query.workload import full_workload
@@ -85,7 +90,8 @@ class ScalarSlabOptimizer:
     Hands :func:`~repro.ess.posp.contour_focused_posp` one
     :meth:`Optimizer.optimize` call per slab location, in slab order, so
     the unchanged band exploration runs the paper's literal procedure.
-    Everything else delegates to the wrapped optimizer.
+    It hands back no cost fields.  Everything else delegates to the
+    wrapped optimizer.
     """
 
     def __init__(self, optimizer: Optimizer):
@@ -95,12 +101,24 @@ class ScalarSlabOptimizer:
         return getattr(self._optimizer, name)
 
     def optimize_batch(
-        self, query: Query, assignments: Sequence[Mapping[str, float]]
-    ) -> List[OptimizedPlan]:
-        return [
-            self._optimizer.optimize(query, assignment=assignment)
-            for assignment in assignments
+        self, query: Query, columns: Mapping[str, object]
+    ) -> SlabPlans:
+        results = [
+            self._optimizer.optimize(
+                query,
+                assignment={
+                    pid: float(column[index] if np.ndim(column) else column)
+                    for pid, column in columns.items()
+                },
+            )
+            for index in range(slab_length(columns))
         ]
+        return SlabPlans(
+            plan_ids=np.array([r.plan_id for r in results], dtype=np.int64),
+            cost=np.array([r.cost for r in results], dtype=float),
+            rows=np.array([r.rows for r in results], dtype=float),
+            fields={},
+        )
 
 
 @dataclass
@@ -114,6 +132,7 @@ class CompileBenchReport:
     batch_seconds: float
     plan_mismatches: int
     cost_mismatches: int
+    field_mismatches: int
     band_reference_seconds: float
     band_batch_seconds: float
     band_locations: int
@@ -150,6 +169,7 @@ class CompileBenchReport:
         return (
             self.plan_mismatches == 0
             and self.cost_mismatches == 0
+            and self.field_mismatches == 0
             and self.band_mismatches == 0
         )
 
@@ -168,6 +188,7 @@ class CompileBenchReport:
             "min_speedup": self.min_speedup,
             "plan_mismatches": self.plan_mismatches,
             "cost_mismatches": self.cost_mismatches,
+            "field_mismatches": self.field_mismatches,
             "band_reference_seconds": self.band_reference_seconds,
             "band_batch_seconds": self.band_batch_seconds,
             "band_speedup": self.band_speedup,
@@ -191,6 +212,9 @@ class CompileBenchReport:
             f"  diagram equality  : {self.plan_mismatches} plan / "
             f"{self.cost_mismatches} cost mismatches (need 0)"
             + ("" if self.plan_mismatches == self.cost_mismatches == 0 else "  FAIL"),
+            f"  DP cost fields    : {self.field_mismatches} POSP plans unseeded "
+            f"or unequal to cost_plan (need 0)"
+            + ("" if self.field_mismatches == 0 else "  FAIL"),
             f"  contour band      : {self.band_reference_seconds:.3f} s ref, "
             f"{self.band_batch_seconds:.3f} s batch ({self.band_speedup:.1f}x, "
             f"need >= {self.min_band_speedup:g}x) "
@@ -236,6 +260,24 @@ def _diagram_mismatches(
     return plan_bad, cost_bad
 
 
+def _field_mismatches(diagram: PlanDiagram) -> int:
+    """POSP plans whose DP-seeded cost field is missing or differs
+    (bitwise) from ``cost_plan`` over the ESS meshgrid.
+
+    Call before anything else reads the diagram's cache: every field it
+    holds then came from the DP.
+    """
+    cache = diagram.cache
+    posp = diagram.posp_plan_ids
+    missing = len(posp) - len(cache)
+    reference = PlanCostCache(diagram.space, cache.optimizer, diagram.registry)
+    unequal = sum(
+        not np.array_equal(cache.cost_array(plan_id), reference.cost_array(plan_id))
+        for plan_id in posp
+    )
+    return missing + unequal
+
+
 def run_compile_bench(
     query: str = "3D_H_Q5",
     resolution: int = 12,
@@ -276,6 +318,7 @@ def run_compile_bench(
     diagram_batch = PlanDiagram.exhaustive(opt_batch, space)
     t3 = time.perf_counter()
 
+    field_bad = _field_mismatches(diagram_batch)
     plan_bad, cost_bad = _diagram_mismatches(diagram_ref, diagram_batch)
 
     # Contour-band race: the §4.2 exploration with the IC cost ladder the
@@ -314,6 +357,7 @@ def run_compile_bench(
         batch_seconds=t3 - t2,
         plan_mismatches=plan_bad,
         cost_mismatches=cost_bad,
+        field_mismatches=field_bad,
         band_reference_seconds=t5 - t4,
         band_batch_seconds=t7 - t6,
         band_locations=len(band_ref.optimized),

@@ -120,15 +120,12 @@ def refresh_bouquet(
         new_id, _ = registry.register(plan)
         reused_ids.add(new_id)
 
-    # A handful of fresh optimizations to catch plans the scale-up needs.
-    calls = 0
-    seeded_ids = set()
-    for location in coarse_subgrid(new_space, per_dim=seeds_per_dim):
-        result = optimizer.optimize(
-            new_space.query, assignment=new_space.assignment_at(location)
-        )
-        calls += 1
-        seeded_ids.add(result.plan_id)
+    # A handful of fresh optimizations, as one slab, to catch plans the
+    # scale-up needs.
+    seeds = new_space.flat_indices(coarse_subgrid(new_space, per_dim=seeds_per_dim))
+    slab = optimizer.optimize_batch(new_space.query, new_space.columns(seeds))
+    calls = len(seeds)
+    seeded_ids = set(slab.plan_ids.tolist())
 
     candidate_ids = sorted(reused_ids | seeded_ids)
     diagram = _diagram_from_candidate_ids(optimizer, new_space, candidate_ids)

@@ -34,7 +34,9 @@ old base usually still wins under the new one.
 5. **Renumber canonically.**  The patched diagram's plans are re-registered
    into a fresh registry in row-major first-occurrence order — exactly the
    ids a from-scratch batch compile assigns — then contours and budgets are
-   rebuilt by the ordinary :func:`~repro.core.bouquet.identify_bouquet`.
+   rebuilt by the ordinary :func:`~repro.core.bouquet.identify_bouquet`,
+   over the cost fields the earlier passes built (carried to the new ids,
+   not re-costed).
 
 The full recompile stays available as the *reference* engine; the drift
 bench (:mod:`repro.bench.drift`) and the equivalence tests run both and
@@ -132,6 +134,12 @@ def moved_base_pids(
         for pid in sorted(set(old_base) | set(new_base))
         if pid not in dims and old_base.get(pid) != new_base.get(pid)
     ]
+
+
+def _first_appearance(plan_ids: np.ndarray) -> List[int]:
+    """Distinct ids of ``plan_ids`` in row-major order of first appearance."""
+    unique, first = np.unique(plan_ids, return_index=True)
+    return unique[np.argsort(first)].tolist()
 
 
 def _dilate(mask: np.ndarray, steps: int) -> np.ndarray:
@@ -247,16 +255,14 @@ def delta_refresh(
 
         # Pass 2: authoritative probes on a coarse subgrid to catch plans
         # outside the incumbent set.
-        probe_locs = coarse_subgrid(new_space, per_dim=probes_per_dim)
-        probe_results = optimizer.optimize_batch(
-            query, [new_space.assignment_at(loc) for loc in probe_locs]
+        probe_flat = new_space.flat_indices(
+            coarse_subgrid(new_space, per_dim=probes_per_dim)
         )
-        probe_plan = {}
-        for loc, result in zip(probe_locs, probe_results):
-            probe_plan[loc] = (int(result.plan_id), float(result.cost))
-            if result.plan_id not in known:
-                known.add(result.plan_id)
-                candidates.append(result.plan_id)
+        probes = optimizer.optimize_batch(query, new_space.columns(probe_flat))
+        for plan_id in _first_appearance(probes.plan_ids):
+            if plan_id not in known:
+                known.add(plan_id)
+                candidates.append(plan_id)
 
         cache = PlanCostCache(new_space, optimizer, registry)
         stacked = np.stack([cache.cost_array(wid) for wid in candidates])
@@ -270,10 +276,10 @@ def delta_refresh(
             # plans (the first n_incumbent candidate rows — probe
             # newcomers were appended after them) can do there.
             incumbent_min = np.min(stacked[:n_incumbent], axis=0)
-            worst = 0.0
-            for loc, (_wid, dp_cost) in probe_plan.items():
-                gap = (float(incumbent_min[loc]) - dp_cost) / max(dp_cost, 1e-300)
-                worst = max(worst, gap)
+            gaps = (incumbent_min.flat[probe_flat] - probes.cost) / np.maximum(
+                probes.cost, 1e-300
+            )
+            worst = max(0.0, float(gaps.max()))
             if worst > max_probe_divergence:
                 raise DriftError(
                     f"carried plans diverge {worst:.1%} from the DP optimum "
@@ -297,56 +303,46 @@ def delta_refresh(
         # its vectorized cost sweep decides where else the DP must run.
         plan_wid = old_wid.copy()
         costs = min_cost.copy()
-        for loc, (wid, cost) in probe_plan.items():
-            plan_wid[loc] = wid
-            costs[loc] = cost
-        dp_done = set(probe_plan)
-        replan_locs = [
-            loc
-            for loc in new_space.locations()
-            if suspect[loc] and loc not in dp_done
-        ]
-        planned = len(probe_plan)
-        while replan_locs:
-            planned += len(replan_locs)
-            replan_results = optimizer.optimize_batch(
-                query, [new_space.assignment_at(loc) for loc in replan_locs]
-            )
-            dp_done.update(replan_locs)
+        np.put(plan_wid, probe_flat, probes.plan_ids)
+        np.put(costs, probe_flat, probes.cost)
+        dp_done = np.zeros(new_space.shape, dtype=bool)
+        np.put(dp_done, probe_flat, True)
+        replan = np.flatnonzero(suspect & ~dp_done)
+        planned = len(probe_flat)
+        while replan.size:
+            planned += replan.size
+            slab = optimizer.optimize_batch(query, new_space.columns(replan))
+            np.put(plan_wid, replan, slab.plan_ids)
+            np.put(costs, replan, slab.cost)
+            np.put(dp_done, replan, True)
             newcomers = []
-            for loc, result in zip(replan_locs, replan_results):
-                plan_wid[loc] = result.plan_id
-                costs[loc] = float(result.cost)
-                if result.plan_id not in known:
-                    known.add(result.plan_id)
-                    candidates.append(result.plan_id)
-                    newcomers.append(result.plan_id)
+            for plan_id in _first_appearance(slab.plan_ids):
+                if plan_id not in known:
+                    known.add(plan_id)
+                    candidates.append(plan_id)
+                    newcomers.append(plan_id)
             if not newcomers:
                 break
             threat = np.zeros(new_space.shape, dtype=bool)
             for wid in newcomers:
                 threat |= cache.cost_array(wid) <= costs
-            replan_locs = [
-                loc
-                for loc in new_space.locations()
-                if threat[loc] and loc not in dp_done
-            ]
+            replan = np.flatnonzero(threat & ~dp_done)
         changed = int(np.count_nonzero(plan_wid != old_wid))
 
         # Pass 5: canonical renumbering — fresh registry, ids assigned in
         # row-major first-occurrence order, matching a from-scratch batch
-        # compile bit for bit.
+        # compile bit for bit.  Every surviving plan is a candidate whose
+        # field ``cache`` already holds; the final cache takes the fields
+        # over under the new ids instead of rebuilding them.
         final_registry = PlanRegistry()
-        final_ids = np.empty(new_space.shape, dtype=np.int64)
-        remap = {}
-        for loc in new_space.locations():
-            wid = int(plan_wid[loc])
-            fid = remap.get(wid)
-            if fid is None:
-                fid, _ = final_registry.register(registry.plan(wid))
-                remap[wid] = fid
-            final_ids[loc] = fid
         final_cache = PlanCostCache(new_space, optimizer, final_registry)
+        working = _first_appearance(plan_wid)
+        lookup = np.zeros(max(working) + 1, dtype=np.int64)
+        for wid in working:
+            fid, _ = final_registry.register(registry.plan(wid))
+            lookup[wid] = fid
+            final_cache.seed(fid, cache.cost_array(wid))
+        final_ids = lookup[plan_wid]
         diagram = PlanDiagram(new_space, final_ids, costs, final_registry, final_cache)
         bouquet = identify_bouquet(diagram, lambda_=lambda_, ratio=ratio)
         span.set(

@@ -29,6 +29,10 @@ class PlanCostCache:
     ``cost(plan_id, location)`` and ``cost_array(plan_id)`` evaluate the
     plan's (abstract) cost function at grid locations, memoizing whole
     arrays per plan — the workhorse behind every ESS-wide metric sweep.
+    :meth:`seed` stores a field computed elsewhere (the batch DP's
+    frontier costs, or another cache's field for the same plan over the
+    same space), so it is never rebuilt.  Every held array is read-only:
+    caches, the DP memo and refreshed bouquets share them.
 
     The cache is thread-safe (the serving layer shares bouquets across
     threads) and optionally
@@ -70,6 +74,8 @@ class PlanCostCache:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.RLock()
+        for array in self._arrays.values():
+            array.setflags(write=False)
 
     def invalidate(self, plan_id: Optional[int] = None) -> None:
         """Drop the cached array for one plan (or all of them)."""
@@ -108,6 +114,20 @@ class PlanCostCache:
             plan, self.optimizer.schema, self.optimizer.cost_model, assignment
         )
         array = np.broadcast_to(np.asarray(est.cost, dtype=float), space.shape).copy()
+        return self._keep(plan_id, array)
+
+    def seed(self, plan_id: int, array: np.ndarray) -> np.ndarray:
+        """Hold an already computed cost field for ``plan_id``.
+
+        ``array`` must be the plan's cost at every grid location (grid or
+        row-major flat shape) — bit-identical to what :meth:`cost_array`
+        would build.  An existing entry wins; returns the held array.
+        """
+        array = np.ascontiguousarray(array, dtype=float).reshape(self.space.shape)
+        return self._keep(plan_id, array)
+
+    def _keep(self, plan_id: int, array: np.ndarray) -> np.ndarray:
+        array.setflags(write=False)
         with self._lock:
             existing = self._arrays.get(plan_id)
             if existing is not None:
@@ -164,23 +184,21 @@ class PlanDiagram:
         The DPsize enumeration runs once for the whole grid as a slab
         (:mod:`repro.batchopt`), visiting locations in row-major order,
         so plan ids, costs, and the resulting diagram are identical to
-        one scalar optimizer call per location in that order.
+        one scalar optimizer call per location in that order.  The DP
+        costed every POSP plan over the whole grid on the way; those
+        fields seed the diagram's cost cache.
         """
         registry = optimizer.registry(space.query)
-        plan_ids = np.empty(space.shape, dtype=np.int64)
-        costs = np.empty(space.shape, dtype=float)
         with optimizer.tracer.span(
             "ess.exhaustive_diagram", locations=space.size
         ) as span:
-            locations = list(space.locations())
-            assignments = [space.assignment_at(location) for location in locations]
-            for location, result in zip(
-                locations, optimizer.optimize_batch(space.query, assignments)
-            ):
-                plan_ids[location] = result.plan_id
-                costs[location] = result.cost
+            slab = optimizer.optimize_batch(space.query, space.columns())
+            plan_ids = slab.plan_ids.reshape(space.shape)
+            costs = slab.cost.reshape(space.shape)
             span.set(posp=len(np.unique(plan_ids)))
         cache = PlanCostCache(space, optimizer, registry)
+        for plan_id, field in slab.fields.items():
+            cache.seed(plan_id, field)
         return cls(space, plan_ids, costs, registry, cache)
 
     @classmethod
@@ -204,15 +222,11 @@ class PlanDiagram:
         with optimizer.tracer.span(
             "ess.candidate_diagram", locations=space.size
         ) as span:
-            locations = list(seed_locations)
-            assignments = [space.assignment_at(location) for location in locations]
-            candidate_ids = {
-                result.plan_id
-                for result in optimizer.optimize_batch(space.query, assignments)
-            }
-            span.set(seeds=len(locations), candidates=len(candidate_ids))
+            flat = space.flat_indices(seed_locations)
+            slab = optimizer.optimize_batch(space.query, space.columns(flat))
+            ordered = [int(plan_id) for plan_id in np.unique(slab.plan_ids)]
+            span.set(seeds=len(flat), candidates=len(ordered))
         cache = PlanCostCache(space, optimizer, registry)
-        ordered = sorted(candidate_ids)
         stacked = np.stack([cache.cost_array(pid) for pid in ordered])
         argmin = np.argmin(stacked, axis=0)
         costs = np.min(stacked, axis=0)

@@ -106,10 +106,13 @@ def contour_focused_posp(
         if not todo:
             return
         if len(todo) >= MIN_BAND_SLAB:
-            assignments = [space.assignment_at(location) for location in todo]
-            results = optimizer.optimize_batch(space.query, assignments)
-            for location, result in zip(todo, results):
-                optimized[location] = (result.plan_id, result.cost)
+            slab = optimizer.optimize_batch(
+                space.query, space.columns(space.flat_indices(todo))
+            )
+            for location, plan_id, cost in zip(
+                todo, slab.plan_ids.tolist(), slab.cost.tolist()
+            ):
+                optimized[location] = (plan_id, cost)
             slabs += 1
             batched += len(todo)
         else:

@@ -66,13 +66,13 @@ def anorexic_reduce(
         candidate_ids = diagram.posp_plan_ids
 
     threshold = 1.0 + lambda_
-    optimal = np.array([diagram.cost_at(loc) for loc in location_list])
+    index = tuple(np.array(location_list, dtype=np.intp).T)
+    optimal = diagram.costs[index]
     # coverage[p][i] == True when plan p may own location_list[i].
     coverage: Dict[int, np.ndarray] = {}
     cost_rows: Dict[int, np.ndarray] = {}
     for plan_id in candidate_ids:
-        array = cache.cost_array(plan_id)
-        costs = np.array([array[loc] for loc in location_list])
+        costs = cache.cost_array(plan_id)[index]
         coverage[plan_id] = costs <= threshold * optimal + 1e-12
         cost_rows[plan_id] = costs
 

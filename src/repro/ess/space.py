@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,6 +134,32 @@ class SelectivitySpace:
         for dim, value in zip(self.dimensions, self.selectivities_at(location)):
             assignment[dim.pid] = value
         return assignment
+
+    def columns(self, flat: Optional[np.ndarray] = None) -> Dict[str, object]:
+        """Slab column table of the grid, for :meth:`Optimizer.optimize_batch`.
+
+        Base pids map to python floats; each error pid maps to a 1-D
+        array of its grid value at every location, in row-major order
+        (``meshgrid(*grids, indexing="ij")`` raveled).  ``flat`` —
+        row-major flat indices — restricts the table to those locations,
+        in that order.
+        """
+        index = np.arange(self.size) if flat is None else np.asarray(flat, dtype=np.intp)
+        columns: Dict[str, object] = {
+            pid: float(value) for pid, value in self.base_assignment.items()
+        }
+        for dim, grid, axis_index in zip(
+            self.dimensions, self.grids, np.unravel_index(index, self.shape)
+        ):
+            columns[dim.pid] = grid[axis_index]
+        return columns
+
+    def flat_indices(self, locations: Iterable[Location]) -> np.ndarray:
+        """Row-major flat indices of grid locations (for :meth:`columns`)."""
+        rows = np.asarray(list(locations), dtype=np.intp)
+        return np.ravel_multi_index(
+            tuple(rows.reshape(-1, self.dimensionality).T), self.shape
+        )
 
     def assignment_for(self, values: Sequence[float]) -> SelectivityAssignment:
         """Assignment for arbitrary (continuous) dim values — used by the

@@ -19,6 +19,7 @@ Supported executions:
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -70,7 +71,9 @@ class CostPerturbation:
     def factor(self, node: PlanNode) -> float:
         if self.delta == 0:
             return 1.0
-        key = hash((node.signature(), self.seed)) & 0xFFFFFFFF
+        # CRC32, not Python's salted ``hash``: the factor must not change
+        # between interpreter runs.
+        key = zlib.crc32(f"{node.signature()}|{self.seed}".encode("utf-8"))
         unit = key / 0xFFFFFFFF  # deterministic in [0, 1]
         low = 1.0 / (1.0 + self.delta)
         high = 1.0 + self.delta

@@ -3,7 +3,7 @@
 from .cost_model import COMMERCIAL_COST_MODEL, POSTGRES_COST_MODEL, CostModel
 from .explain import explain
 from .serialize import plan_from_dict, plan_to_dict
-from .optimizer import OptimizedPlan, Optimizer, PlanRegistry
+from .optimizer import OptimizedPlan, Optimizer, PlanRegistry, SlabPlans
 from .plans import (
     Aggregate,
     IndexLookup,
@@ -36,6 +36,7 @@ __all__ = [
     "OptimizedPlan",
     "Optimizer",
     "PlanRegistry",
+    "SlabPlans",
     "IndexLookup",
     "IndexScan",
     "Join",

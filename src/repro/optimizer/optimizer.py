@@ -12,7 +12,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..catalog.schema import Schema
 from ..catalog.statistics import DatabaseStatistics
@@ -43,6 +45,25 @@ class OptimizedPlan:
     @property
     def label(self) -> str:
         return f"P{self.plan_id}"
+
+
+@dataclass
+class SlabPlans:
+    """Result of one :meth:`Optimizer.optimize_batch` call.
+
+    ``plan_ids``/``cost``/``rows`` hold the optimal plan and its estimate
+    at each slab location.  ``fields`` maps every plan id that wins
+    somewhere in the slab to its cost at *every* slab location
+    (read-only) — the plan's cost field, as the DP computed it.
+    """
+
+    plan_ids: np.ndarray
+    cost: np.ndarray
+    rows: np.ndarray
+    fields: Dict[int, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.plan_ids)
 
 
 class PlanRegistry:
@@ -219,54 +240,44 @@ class Optimizer:
     def optimize_batch(
         self,
         query: Query,
-        assignments: Sequence[Mapping[str, float]],
-    ) -> List[OptimizedPlan]:
-        """Find the cheapest plan at every assignment of a slab at once.
+        columns: Mapping[str, object],
+    ) -> SlabPlans:
+        """Find the cheapest plan at every location of a slab at once.
 
-        Runs the DPsize enumeration **once** while carrying a numpy cost
-        axis over the slab (:mod:`repro.batchopt`): per connected subset
-        the DP keeps a frontier of plans that are cheapest at >= 1
-        location, so ``optimize_batch(A)[i]`` equals
-        ``optimize(query, A[i])`` — same plan id, same cost — for every
-        ``i``.  Plans are registered in slab order, so a batch compile
-        assigns the same plan ids a scalar sweep over the same location
-        order would.
+        ``columns`` is a slab column table: each pid maps to a python
+        float (constant over the slab) or a 1-D array with one
+        selectivity per location (:meth:`SelectivitySpace.columns
+        <repro.ess.space.SelectivitySpace.columns>` builds one over an
+        ESS).  Runs the DPsize enumeration **once** while carrying a
+        numpy cost axis over the slab (:mod:`repro.batchopt`): per
+        connected subset the DP keeps a frontier of plans that are
+        cheapest at >= 1 location, so location ``i`` of the result has
+        the plan id, cost and rows ``optimize`` returns for the
+        assignment ``{pid: column[i]}``.  Winners register in order of
+        first appearance in the slab, so a batch compile assigns the
+        same plan ids a scalar sweep over the same location order
+        would.  ``fields`` carries every winner's cost at every slab
+        location, which the DP computed anyway.
         """
-        from ..batchopt.kernel import (
-            batch_best_plans,
-            stack_assignments,
-            validate_columns,
-        )
+        from ..batchopt.kernel import batch_best_plans, slab_length, validate_columns
 
-        if not assignments:
-            return []
         tracer = self.tracer
         t0 = time.perf_counter() if tracer.enabled else 0.0
-        columns, length = stack_assignments(assignments)
+        length = slab_length(columns)
         validate_columns(query, columns, length)
         enumerator = self._enumerator(query) if len(query.tables) > 1 else None
         choice = batch_best_plans(
             query, self.schema, self.cost_model, columns, length, enumerator
         )
         registry = self.registry(query)
-        registered: Dict[int, Tuple[int, str]] = {}
-        results: List[OptimizedPlan] = []
-        for index in range(length):
-            frontier_index = int(choice.winner[index])
-            entry = registered.get(frontier_index)
-            if entry is None:
-                entry = registry.register(choice.plans[frontier_index])
-                registered[frontier_index] = entry
-            plan_id, signature = entry
-            results.append(
-                OptimizedPlan(
-                    plan=choice.plans[frontier_index],
-                    cost=float(choice.cost[index]),
-                    rows=float(choice.rows[index]),
-                    plan_id=plan_id,
-                    signature=signature,
-                )
-            )
+        frontier, first = np.unique(choice.winner, return_index=True)
+        lookup = np.zeros(choice.frontier_size, dtype=np.int64)
+        fields: Dict[int, np.ndarray] = {}
+        for index in frontier[np.argsort(first)]:
+            plan_id, _ = registry.register(choice.plans[index])
+            lookup[index] = plan_id
+            fields[plan_id] = choice.fields[index]
+        result = SlabPlans(lookup[choice.winner], choice.cost, choice.rows, fields)
         if tracer.enabled:
             tracer.count("optimizer.batch_calls")
             tracer.count("optimizer.batched_locations", length)
@@ -274,7 +285,7 @@ class Optimizer:
             tracer.count("batchopt.locations", length)
             tracer.count("batchopt.frontier_plans", choice.frontier_size)
             tracer.observe("optimizer.batch_latency", time.perf_counter() - t0)
-        return results
+        return result
 
     def _best_single_table(
         self, query: Query, assignment: Mapping[str, float]

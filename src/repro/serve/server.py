@@ -144,10 +144,16 @@ class BouquetServer:
         return self.templates is not None and self.config.template
 
     def _compile_and_store(
-        self, key: ArtifactKey, query: Query, sql: Optional[str]
+        self,
+        key: ArtifactKey,
+        query: Query,
+        sql: Optional[str],
+        sig: Optional[TemplateSignature],
     ) -> CompiledBouquet:
         """Pool task: run the compile pipeline and publish the artifact
-        (to the exact store, and as the template's representative)."""
+        (to the exact store, and under ``sig`` — the request's template
+        signature, ``None`` without a template tier — as the template's
+        representative)."""
         compiled = _compile_pipeline(
             query,
             self.catalog,
@@ -160,10 +166,7 @@ class BouquetServer:
             span_name="serve.compile",
         )
         self.store.put(key, compiled, tracer=self.tracer)
-        if self._use_templates():
-            sig = template_signature(
-                query, self.catalog.schema, self.catalog.statistics
-            )
+        if sig is not None:
             self.templates.put(
                 sig, compiled, key.statistics_digest, key.config_digest
             )
@@ -286,7 +289,7 @@ class BouquetServer:
                         # The compile's spans nest under this request's.
                         future = self._pool.submit(
                             contextvars.copy_context().run,
-                            self._compile_and_store, key, parsed, sql,
+                            self._compile_and_store, key, parsed, sql, sig,
                         )
                         self._inflight[key.digest] = future
                         if sig is not None and sig.digest not in self._template_inflight:

@@ -58,6 +58,24 @@ class TestCostCache:
         plan_id = eq_diagram.posp_plan_ids[0]
         assert cache.cost_array(plan_id) is cache.cost_array(plan_id)
 
+    def test_held_fields_are_read_only(self, eq_diagram):
+        """Seeded (DP) and built fields alike: an in-place write raises,
+        so a field shared between caches cannot be corrupted — also
+        after a pickle round trip."""
+        import pickle
+
+        from repro.ess.diagram import PlanCostCache
+
+        base = eq_diagram.cache
+        plan_id = eq_diagram.posp_plan_ids[0]
+        built_cache = PlanCostCache(base.space, base.optimizer, base.registry)
+        for cache in (base, built_cache, pickle.loads(pickle.dumps(base))):
+            field = cache.cost_array(plan_id)
+            with pytest.raises(ValueError):
+                field[(0,)] = 0.0
+            with pytest.raises(ValueError):
+                field *= 2.0
+
     def test_invalidate_drops_one_plan(self, eq_diagram):
         cache = eq_diagram.cache
         a, b = eq_diagram.posp_plan_ids[0], eq_diagram.posp_plan_ids[1]

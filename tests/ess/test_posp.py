@@ -1,5 +1,6 @@
 """Tests for contour-focused POSP generation (§4.2)."""
 
+import numpy as np
 import pytest
 
 from repro.core.contours import contour_costs
@@ -41,8 +42,9 @@ class TestContourFocusedPosp:
 
 class _TinySpace:
     """Minimal 1-D stand-in for SelectivitySpace: 9 grid points whose
-    ``assignment_at`` is the location itself, so a fake optimizer can key
-    costs directly off it."""
+    ``assignment_at`` is the location itself (and whose slab columns are
+    the flat indices), so a fake optimizer can key costs directly off
+    it."""
 
     size = 9
     origin = (0,)
@@ -51,6 +53,12 @@ class _TinySpace:
 
     def assignment_at(self, location):
         return location
+
+    def flat_indices(self, locations):
+        return np.array([location[0] for location in locations])
+
+    def columns(self, flat):
+        return {"index": flat}
 
 
 class _TieBreakOptimizer:
@@ -71,8 +79,17 @@ class _TieBreakOptimizer:
         cost = 100.0 + 1e-6 if assignment == (0,) else 100.0
         return SimpleNamespace(plan_id=1, cost=cost, plan=None)
 
-    def optimize_batch(self, query, assignments):
-        return [self.optimize(query, assignment=a) for a in assignments]
+    def optimize_batch(self, query, columns):
+        from types import SimpleNamespace
+
+        results = [
+            self.optimize(query, assignment=(int(index),))
+            for index in columns["index"]
+        ]
+        return SimpleNamespace(
+            plan_ids=np.array([r.plan_id for r in results]),
+            cost=np.array([r.cost for r in results]),
+        )
 
 
 class TestInvertedCornerRegression:

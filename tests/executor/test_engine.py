@@ -219,6 +219,33 @@ class TestCostPerturbation:
     def test_zero_delta_identity(self):
         assert CostPerturbation(0.0).factor(SeqScan("part")) == 1.0
 
+    def test_factor_repeats_across_interpreter_runs(self):
+        """The factor must not depend on Python's per-process string
+        hash salt: two interpreters with different ``PYTHONHASHSEED``
+        values print the same factor."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        program = (
+            "from repro.executor import CostPerturbation\n"
+            "from repro.optimizer import SeqScan\n"
+            "print(repr(CostPerturbation(0.5, seed=1).factor(SeqScan('part'))))\n"
+        )
+        printed = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", program],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            printed.append(run.stdout.strip())
+        assert printed[0] == printed[1]
+        assert printed[0] == repr(CostPerturbation(0.5, seed=1).factor(SeqScan("part")))
+
     def test_perturbed_engine_costs_within_band(
         self, database, eq_query, eq_pids, engine
     ):

@@ -3,14 +3,17 @@
 The batch engine's contract is total: same plan id, same cost, same rows
 at *every* slab location, because the frontier DP keeps every plan that
 is cheapest somewhere in the slab and replicates the scalar DP's
-tie-breaking per location.  These tests pin that contract on fixed
-grids, degenerate slabs, aggregates, and hypothesis-random slabs, plus
-the registry properties (structural dedup, thread safety) it rests on.
+tie-breaking per location; and every winner's cost field is its
+``cost_plan`` cost at every location.  These tests pin that contract on
+fixed grids, degenerate slabs, aggregates, and hypothesis-random slabs,
+plus the registry properties (structural dedup, thread safety) it rests
+on.
 """
 
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,19 +22,50 @@ from repro.ess import ErrorDimension, PlanDiagram, SelectivitySpace
 from repro.ess.posp import contour_focused_posp
 from repro.optimizer import Optimizer, actual_selectivities
 from repro.optimizer.optimizer import PlanRegistry
+from repro.optimizer.plans import cost_plan
 from repro.query import parse_query
 
 
+def stack_assignments(assignments):
+    """Per-location assignment dicts -> a slab column table.
+
+    A pid constant across the slab becomes a python float (as base pids
+    are in ``SelectivitySpace.columns``); the others become per-location
+    arrays.  When every pid is constant, the first keeps its array so
+    the table still carries the slab length.
+    """
+    pids = list(assignments[0])
+    columns = {}
+    for pid in pids:
+        values = np.array([assignment[pid] for assignment in assignments], dtype=float)
+        columns[pid] = float(values[0]) if (values == values[0]).all() else values
+    if not any(isinstance(column, np.ndarray) for column in columns.values()):
+        columns[pids[0]] = np.full(len(assignments), columns[pids[0]])
+    return columns
+
+
 def assert_batch_pins_scalar(optimizer, query, assignments):
-    """The core contract: pointwise (plan id, cost, rows) equality."""
-    batch = optimizer.optimize_batch(query, assignments)
+    """The core contract: pointwise (plan id, cost, rows, signature)
+    equality, and each winner's field equal to ``cost_plan`` everywhere."""
+    batch = optimizer.optimize_batch(query, stack_assignments(assignments))
+    registry = optimizer.registry(query)
     assert len(batch) == len(assignments)
-    for result, assignment in zip(batch, assignments):
+    for index, assignment in enumerate(assignments):
         scalar = optimizer.optimize(query, assignment=assignment)
-        assert result.plan_id == scalar.plan_id
-        assert result.cost == scalar.cost
-        assert result.rows == scalar.rows
-        assert result.signature == scalar.signature
+        assert batch.plan_ids[index] == scalar.plan_id
+        assert batch.cost[index] == scalar.cost
+        assert batch.rows[index] == scalar.rows
+        plan = registry.plan(int(batch.plan_ids[index]))
+        assert plan.canonical_signature() == scalar.signature
+    assert set(batch.fields) == set(batch.plan_ids.tolist())
+    for plan_id, field in batch.fields.items():
+        plan = registry.plan(plan_id)
+        expected = [
+            cost_plan(plan, optimizer.schema, optimizer.cost_model, assignment).cost
+            for assignment in assignments
+        ]
+        assert np.array_equal(field, expected)
+        assert not field.flags.writeable
 
 
 class TestBatchMatchesScalar:
@@ -45,8 +79,32 @@ class TestBatchMatchesScalar:
         assignments = [eq_space.assignment_at((17,))]
         assert_batch_pins_scalar(optimizer, eq_query, assignments)
 
-    def test_empty_slab_returns_empty(self, optimizer, eq_query):
-        assert optimizer.optimize_batch(eq_query, []) == []
+    def test_empty_slab_returns_empty(self, optimizer, eq_query, eq_space):
+        empty = optimizer.optimize_batch(
+            eq_query, eq_space.columns(np.array([], dtype=int))
+        )
+        assert len(empty) == 0 and empty.fields == {}
+
+    def test_space_columns_are_the_row_major_grid(self, eq_space):
+        """The column table holds each location's assignment, row-major;
+        flat indices pick those locations, in the order given."""
+        columns = eq_space.columns()
+        for flat, location in enumerate(eq_space.locations()):
+            assignment = eq_space.assignment_at(location)
+            for pid, column in columns.items():
+                value = column[flat] if np.ndim(column) else column
+                assert value == assignment[pid]
+        picked = eq_space.columns(np.array([40, 3]))
+        for pid, column in picked.items():
+            if np.ndim(column):
+                assert list(column) == [columns[pid][40], columns[pid][3]]
+
+    def test_table_without_slab_axis_rejected(self, optimizer, eq_query):
+        from repro.exceptions import QueryError
+
+        base = optimizer.estimated_assignment(eq_query)
+        with pytest.raises(QueryError):
+            optimizer.optimize_batch(eq_query, dict(base))
 
     def test_resolution_two_grid(self, optimizer, eq_query, database):
         """The smallest legal grid: 2 points per dim, 2D over the EQ query."""
@@ -120,15 +178,19 @@ class TestRegistryDedup:
         """Structurally identical plans chosen at different locations
         deduplicate onto one id, and the ids are the ones the scalar
         path hands out for the same structures."""
-        assignments = [
-            eq_space.assignment_at(location) for location in eq_space.locations()
-        ]
-        batch = optimizer.optimize_batch(eq_query, assignments)
+        batch = optimizer.optimize_batch(eq_query, eq_space.columns())
+        registry = optimizer.registry(eq_query)
         by_signature = {}
-        for result in batch:
-            by_signature.setdefault(result.signature, set()).add(result.plan_id)
+        for plan_id in np.unique(batch.plan_ids):
+            signature = registry.plan(int(plan_id)).canonical_signature()
+            by_signature.setdefault(signature, set()).add(int(plan_id))
         for signature, ids in by_signature.items():
             assert len(ids) == 1, f"signature maps to multiple ids: {signature}"
+        for location in [(0,), (31,), (63,)]:
+            scalar = optimizer.optimize(
+                eq_query, assignment=eq_space.assignment_at(location)
+            )
+            assert batch.plan_ids[location[0]] == scalar.plan_id
 
     def test_canonical_returns_shared_instance(self, optimizer, eq_query, eq_space):
         registry = optimizer.registry(eq_query)

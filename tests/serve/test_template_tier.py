@@ -44,6 +44,27 @@ def server(catalog):
 
 
 class TestTemplateTierFlow:
+    def test_cold_compile_computes_the_signature_once(
+        self, server, instances, monkeypatch
+    ):
+        """The request's template signature is handed to the compile
+        task, which publishes the template under it, not recomputed."""
+        import repro.serve.server as server_module
+
+        calls = []
+        real = server_module.template_signature
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "template_signature", counting)
+        _, source = server.compile(instances[0])
+        assert source == "compiled"
+        assert len(calls) == 1
+        _, source = server.compile(instances[1])
+        assert source == "template"
+
     def test_second_instance_is_served_from_the_template(
         self, server, instances
     ):

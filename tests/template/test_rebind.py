@@ -117,3 +117,49 @@ class TestFallbackPaths:
         with pytest.raises(TemplateError) as excinfo:
             rebind_compiled(compiled, sig, other, catalog)
         assert excinfo.value.reason == "template-mismatch"
+
+
+class TestFieldReuse:
+    def test_delta_rebind_builds_each_field_once(
+        self, monkeypatch, schema, statistics, etl_template
+    ):
+        """The delta path builds each candidate's cost field once, in its
+        own passes; the final cache takes those fields over, so the
+        bouquet identification builds none."""
+        import numpy as np
+
+        import repro.drift.refresh as refresh_module
+        import repro.ess.diagram as diagram_module
+
+        _, compiled, sig, instance = etl_template
+        drifted = perturb_statistics(
+            statistics, "part", "p_partkey", distinct_scale=0.02
+        )
+        builds = []
+        inside = {"identify": False}
+        real_cost_plan = diagram_module.cost_plan
+        real_identify = refresh_module.identify_bouquet
+
+        def counting_cost_plan(plan, schema, cost_model, assignment):
+            if any(isinstance(value, np.ndarray) for value in assignment.values()):
+                builds.append((plan.canonical_signature(), inside["identify"]))
+            return real_cost_plan(plan, schema, cost_model, assignment)
+
+        def tracking_identify(*args, **kwargs):
+            inside["identify"] = True
+            try:
+                return real_identify(*args, **kwargs)
+            finally:
+                inside["identify"] = False
+
+        monkeypatch.setattr(diagram_module, "cost_plan", counting_cost_plan)
+        monkeypatch.setattr(refresh_module, "identify_bouquet", tracking_identify)
+        outcome = rebind_compiled(
+            compiled, sig, instance, Catalog(schema, statistics=drifted)
+        )
+        assert outcome.strategy == "delta"
+        signatures = [signature for signature, _ in builds]
+        assert signatures
+        assert len(signatures) == len(set(signatures))
+        assert not any(during for _, during in builds)
+
